@@ -21,10 +21,6 @@
 //! Binaries: `bench-run` (measure, write a report) and `bench-compare`
 //! (diff two reports, non-zero exit on regression). `scripts/bench.sh`
 //! drives both; `scripts/ci.sh` runs a smoke pass per commit.
-//!
-//! Two legacy criterion-compatible targets remain under `benches/`
-//! (`experiments.rs`, `components.rs`) for quick interactive use via
-//! `cargo bench`; the committed trajectory comes from `bench-run` only.
 
 #![warn(missing_docs)]
 

@@ -290,8 +290,8 @@ fn trace_benches(r: &mut Runner) {
         );
     }
     {
-        // The trusted-load path: full eager validation from raw columns
-        // (what `trace_io::load` runs after reading the file).
+        // Full eager validation from raw columns (`Trace::from_encoded`,
+        // the one way to build a trace from untrusted column bytes).
         let (tags, data) = reference.encoded_columns();
         let (tags, data) = (tags.to_vec(), data.to_vec());
         r.bench_bytes(

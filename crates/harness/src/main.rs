@@ -97,9 +97,10 @@ fn help() -> ! {
          the delta between the two newest records\n  \
          --diff A:B               diff two records (run ids or seq numbers)\n\n\
          trace-roundtrip:\n  \
-         records workload traces, saves each to disk, loads it back, and\n  \
-         replays both copies on both core models; non-zero exit if any\n  \
-         SimResult differs or the encoding exceeds its bytes-per-op budget.\n  \
+         records workload traces, saves each as a chunked POATTRC3 file,\n  \
+         maps it back, and replays both copies on both core models;\n  \
+         non-zero exit if any SimResult differs or the encoding exceeds\n  \
+         its bytes-per-op budget.\n  \
          --scale quick|full       workload sizing (default: quick)\n  \
          --workload BENCH:PATTERN check one workload only (default: a spread)\n  \
          --dir DIR                where to write the .poattrc files\n                           \
@@ -682,7 +683,7 @@ fn crash_sweep_main(mut args: impl Iterator<Item = String>) -> ! {
 }
 
 /// The `repro trace-roundtrip` entry point: for each selected workload,
-/// records the trace, saves it, loads it back, and replays the original
+/// records the trace, saves it, maps it back, and replays the original
 /// and the reloaded copy on both core models, requiring bit-identical
 /// `SimResult`s — the end-to-end proof that the compact on-disk encoding
 /// is lossless where it matters. Also enforces the ≤ 12 B/op in-memory
@@ -690,6 +691,7 @@ fn crash_sweep_main(mut args: impl Iterator<Item = String>) -> ! {
 /// divergence.
 fn trace_roundtrip_main(mut args: impl Iterator<Item = String>) -> ! {
     use poat_harness::{crash_sweep, runner};
+    use poat_pmem::trace_io::{self, MmapTrace};
     use poat_workloads::{ExpConfig, Micro, Pattern};
 
     const MAX_BYTES_PER_OP: usize = 12;
@@ -756,11 +758,13 @@ fn trace_roundtrip_main(mut args: impl Iterator<Item = String>) -> ! {
             bench.abbrev(),
             pattern.label().to_lowercase()
         ));
-        poat_pmem::trace_io::save(&run.trace, &path).expect("save trace");
-        let loaded = poat_pmem::trace_io::load(&path).unwrap_or_else(|e| {
-            eprintln!("error: reloading {} failed: {e}", path.display());
-            std::process::exit(1);
-        });
+        trace_io::save_chunked(&run.trace, &path, trace_io::DEFAULT_CHUNK_OPS).expect("save trace");
+        let loaded = MmapTrace::open(&path)
+            .and_then(|m| m.to_trace())
+            .unwrap_or_else(|e| {
+                eprintln!("error: reloading {} failed: {e}", path.display());
+                std::process::exit(1);
+            });
 
         let mut cell_ok = loaded == run.trace;
         if !cell_ok {

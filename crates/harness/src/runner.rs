@@ -141,13 +141,11 @@ pub fn run_micro_seeded(
     let mut rt = Runtime::new(cfg);
     let label = format!("{bench}/{pattern}/{config}");
     let _scope = poat_telemetry::run_scope(&label);
-    let exec_prof = poat_telemetry::profile::scope(poat_telemetry::PHASE_WORKLOAD_EXEC);
     let exec_span = poat_telemetry::global().span(poat_telemetry::PHASE_WORKLOAD_EXEC);
     let report = bench
         .run_ops(&mut rt, pattern, seed, scale.ops(bench))
         .unwrap_or_else(|e| panic!("{bench}/{pattern}/{config}: {e}"));
     drop(exec_span);
-    drop(exec_prof);
     let trace = rt.take_trace();
     let run = WorkloadRun {
         label,
@@ -199,12 +197,10 @@ pub fn run_tpcc(pattern: TpccPattern, config: ExpConfig, scale: Scale) -> Worklo
     let setup_xlat = rt.xlat_stats();
     let label = format!("TPCC/{pattern}/{config}");
     let _scope = poat_telemetry::run_scope(&label);
-    let exec_prof = poat_telemetry::profile::scope(poat_telemetry::PHASE_WORKLOAD_EXEC);
     let exec_span = poat_telemetry::global().span(poat_telemetry::PHASE_WORKLOAD_EXEC);
     tpcc.run(&mut rt, scale.tpcc_transactions())
         .unwrap_or_else(|e| panic!("tpcc run {pattern}/{config}: {e}"));
     drop(exec_span);
-    drop(exec_prof);
     let trace = rt.take_trace();
     let mut xlat = rt.xlat_stats();
     xlat.calls -= setup_xlat.calls;
@@ -258,7 +254,6 @@ pub fn simulate_with(run: &WorkloadRun, core: Core, cfg: SimConfig) -> SimResult
     // keeps this run's span samples out of every other run's
     // distribution (the unscoped series still aggregates all of them).
     let _scope = poat_telemetry::run_scope(&run.label);
-    let _sim_prof = poat_telemetry::profile::scope(poat_telemetry::PHASE_POLB_SIM);
     let _sim_span = poat_telemetry::global().span(poat_telemetry::PHASE_POLB_SIM);
     if run.trace.len() >= SHARD_MIN_OPS {
         return simulate_sharded(run, core, &cfg);

@@ -13,7 +13,7 @@
 //!
 //! The byte stream starts with an 8-byte magic and is followed by
 //! self-delimiting record frames, in the same LEB128/columnar discipline
-//! as the `POATTRC2` trace format:
+//! as the `POATTRC3` trace format:
 //!
 //! ```text
 //! magic "POATLGR1" (8 B)

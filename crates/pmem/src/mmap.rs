@@ -5,9 +5,11 @@
 //! trace reader: on Unix it wraps a `PROT_READ`/`MAP_PRIVATE` `mmap(2)`
 //! of the whole file, so the trace columns are borrowed straight out of
 //! the page cache and the process never stages a second whole-column
-//! buffer. On other platforms (and whenever the mapping syscall fails)
-//! it degrades to reading the file into one owned buffer — same API,
-//! same single-copy peak, just without the page-cache sharing.
+//! buffer. On Unix a failed `mmap` is an error, not a fallback:
+//! [`Mapping::open`] returns it, and `MmapTrace::open` surfaces it as
+//! `TraceDecodeError::Io`. Other platforms read the file into one owned
+//! buffer instead — same API, same single-copy peak, just without the
+//! page-cache sharing.
 //!
 //! This is the only module in the crate allowed to use `unsafe` (the
 //! crate root is `#![deny(unsafe_code)]` with a scoped `allow` here);
@@ -45,9 +47,9 @@ mod sys {
     }
 }
 
-/// A read-only view of a whole file: memory-mapped when the platform
-/// cooperates, an owned in-memory copy otherwise. Either way,
-/// [`Mapping::bytes`] is the entire file content.
+/// A read-only view of a whole file: memory-mapped on Unix, an owned
+/// in-memory copy elsewhere. Either way, [`Mapping::bytes`] is the
+/// entire file content.
 #[derive(Debug)]
 pub enum Mapping {
     /// A live `mmap(2)` region, unmapped on drop.
@@ -58,8 +60,8 @@ pub enum Mapping {
         /// Mapped length in bytes (= file length at open).
         len: usize,
     },
-    /// The file content read into an owned buffer (zero-length files,
-    /// non-Unix platforms, or an `mmap` failure).
+    /// The content as an owned buffer: zero-length files, files on
+    /// non-Unix platforms, and bytes handed to `MmapTrace::from_owned`.
     Owned(Vec<u8>),
 }
 
@@ -81,8 +83,8 @@ impl Mapping {
     ///
     /// # Errors
     ///
-    /// Propagates failures opening or (on the fallback path) reading
-    /// the file, and any `mmap` failure on Unix.
+    /// Propagates failures opening the file, any `mmap` failure on
+    /// Unix, and read failures on other platforms.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Mapping> {
         let file = File::open(path.as_ref())?;
         let len = file.metadata()?.len();
@@ -142,8 +144,8 @@ impl Mapping {
         }
     }
 
-    /// Whether this view is a real memory mapping (`false` on the owned
-    /// fallback) — observability for tests and the replay HUD.
+    /// Whether this view is a real memory mapping (`false` for an owned
+    /// buffer) — observability for tests and the replay HUD.
     pub fn is_mapped(&self) -> bool {
         match self {
             #[cfg(unix)]

@@ -2,44 +2,40 @@
 //! replay it later without re-running the workload ("record once,
 //! simulate many" — the workflow trace-driven simulators live by).
 //!
-//! The on-disk layout is the in-memory columnar encoding (see the
-//! [`crate::trace`] module docs) with a fixed header in front, so
-//! serialization is a straight copy of the two columns — no per-op
-//! re-encoding on either side:
+//! There is one on-disk layout, `POATTRC3`: the in-memory columnar
+//! encoding (see the [`crate::trace`] module docs) split into
+//! independently decodable, checksummed chunks. [`save_chunked`] streams
+//! it to a file chunk by chunk, straight out of the trace's columns, so
+//! writing never stages a second whole-file copy. [`MmapTrace::open`]
+//! memory-maps the file, verifies only chunk framing, lengths, and
+//! checksums up front (the structural pass), and decodes ops lazily out
+//! of the mapping with op-level validation fused into first touch — no
+//! second whole-column buffer ever exists. [`MmapTrace::to_trace`]
+//! materializes an owned [`Trace`] for callers that need one.
 //!
 //! ```text
-//! magic "POATTRC2" (8 B) | op count (u64 LE) | payload length (u64 LE)
-//! tag spine   (op count bytes)
-//! payload     (payload length bytes)
+//! magic "POATTRC3" (8 B) | chunk count (u64 LE) | total ops (u64 LE)
+//! per chunk:
+//!   ops (varint) | payload len (varint)
+//!   prev_va (varint) | prev_oid (varint)       -- delta bases at entry
+//!   checksum (u64 LE, FNV-1a over the four varints ++ tags ++ payload)
+//!   tag spine (ops bytes) | payload (payload-len bytes)
 //! ```
 //!
-//! Both [`save`] and [`load`] move the columns through a fixed-size
-//! buffer (`CHUNK_BYTES`, 1 MiB), so I/O never stages a second whole-file
-//! copy next to the trace: peak memory is the encoded trace plus one
-//! chunk. [`load`] validates the whole stream eagerly (every varint,
-//! flag combination, and dependency backreference) via
-//! [`Trace::from_encoded`], so a loaded trace replays infallibly.
-//!
-//! The second, chunked layout (`POATTRC3`, written by [`save_chunked`])
-//! exists for **zero-copy replay**: [`MmapTrace::open`] memory-maps the
-//! file, verifies only chunk framing, lengths, and checksums up front
-//! (the structural pass), and decodes ops lazily out of the mapping with
-//! op-level validation fused into first touch — no second whole-column
-//! buffer ever exists. Each chunk header carries the delta-decoder
-//! snapshot at its start, so chunks double as the chunk-aligned work
-//! units of sharded replay (see `Trace::chunk_bounds`). DESIGN.md §5a
-//! specifies both byte layouts.
+//! Each chunk header carries the delta-decoder snapshot at its start (a
+//! [`crate::trace::ChunkBounds`]), so any chunk decodes without replaying
+//! the stream before it. This is the eyros discipline (SNIPPETS.md §2)
+//! applied to a columnar stream: offsets and lengths up front, bulk bytes
+//! addressed in place, so a memory-mapped file needs no second
+//! whole-column buffer. DESIGN.md §5a specifies the layout byte by byte.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::mmap::Mapping;
 use crate::trace::{get_varint, put_varint, CheckedOps, Trace, TraceCorruption, TraceOp};
-
-const MAGIC: &[u8; 8] = b"POATTRC2";
-const HEADER_BYTES: usize = 8 + 8 + 8;
 
 /// Magic of the chunked, memory-mappable layout (see [`save_chunked`]).
 const MAGIC_CHUNKED: &[u8; 8] = b"POATTRC3";
@@ -47,14 +43,11 @@ const MAGIC_CHUNKED: &[u8; 8] = b"POATTRC3";
 const CHUNKED_HEADER_BYTES: usize = 8 + 8 + 8;
 
 /// Default ops per chunk for [`save_chunked`]: big enough that chunk
-/// headers are noise (< 0.01% of the file), small enough that full-scale
-/// traces split into enough chunk-aligned shards to occupy the worker
-/// pool.
+/// headers are noise (< 0.01% of the file), small enough that lazy
+/// validation works through the file one bounded chunk at a time. File
+/// chunks do not size replay shards: sharded replay splits a trace at
+/// `SHARD_OPS` (poat-harness) however the file was chunked.
 pub const DEFAULT_CHUNK_OPS: usize = 1 << 20;
-
-/// Size of the staging buffer `save`/`load` stream the columns through.
-/// 1 MiB keeps syscall counts low while bounding transient memory.
-const CHUNK_BYTES: usize = 1 << 20;
 
 /// Errors decoding a serialized trace.
 #[derive(Debug)]
@@ -68,8 +61,8 @@ pub enum TraceDecodeError {
     /// The columns are internally inconsistent (bad varint, dangling
     /// dependency backreference, or leftover payload bytes).
     Corrupt(TraceCorruption),
-    /// A chunk's stored checksum does not match its bytes (chunked
-    /// layout only; the index is the zero-based chunk).
+    /// A chunk's stored checksum does not match its bytes (the index
+    /// is the zero-based chunk).
     ChecksumMismatch(usize),
     /// An underlying I/O failure (file read/write).
     Io(std::io::Error),
@@ -115,172 +108,6 @@ impl From<TraceCorruption> for TraceDecodeError {
     }
 }
 
-fn header_for(trace: &Trace) -> ([u8; HEADER_BYTES], usize, usize) {
-    let (tags, data) = trace.encoded_columns();
-    let mut header = [0u8; HEADER_BYTES];
-    header[..8].copy_from_slice(MAGIC);
-    header[8..16].copy_from_slice(&(tags.len() as u64).to_le_bytes());
-    header[16..24].copy_from_slice(&(data.len() as u64).to_le_bytes());
-    (header, tags.len(), data.len())
-}
-
-/// Serializes a trace to its binary representation in memory.
-pub fn to_bytes(trace: &Trace) -> Vec<u8> {
-    let (header, tags_len, data_len) = header_for(trace);
-    let (tags, data) = trace.encoded_columns();
-    let mut out = Vec::with_capacity(HEADER_BYTES + tags_len + data_len);
-    out.extend_from_slice(&header);
-    out.extend_from_slice(tags);
-    out.extend_from_slice(data);
-    out
-}
-
-/// Decodes a trace from its binary representation, validating every op.
-///
-/// # Errors
-///
-/// [`TraceDecodeError`] on malformed input.
-pub fn from_bytes(data: &[u8]) -> Result<Trace, TraceDecodeError> {
-    if data.len() < HEADER_BYTES {
-        return Err(TraceDecodeError::Truncated);
-    }
-    if &data[..8] != MAGIC {
-        return Err(TraceDecodeError::BadMagic);
-    }
-    let ops = u64::from_le_bytes(data[8..16].try_into().expect("8-byte slice"));
-    let payload = u64::from_le_bytes(data[16..24].try_into().expect("8-byte slice"));
-    let body = &data[HEADER_BYTES..];
-    let (ops, payload) = columns_extent(ops, payload, body.len() as u64)?;
-    let tags = body[..ops].to_vec();
-    let payload = body[ops..ops + payload].to_vec();
-    Ok(Trace::from_encoded(tags, payload)?)
-}
-
-/// Checks the header's column lengths against the available body bytes,
-/// returning them as in-range `usize`s.
-fn columns_extent(
-    ops: u64,
-    payload: u64,
-    available: u64,
-) -> Result<(usize, usize), TraceDecodeError> {
-    let total = ops
-        .checked_add(payload)
-        .ok_or(TraceDecodeError::Truncated)?;
-    if total > available {
-        return Err(TraceDecodeError::Truncated);
-    }
-    if total < available {
-        return Err(TraceDecodeError::Corrupt(TraceCorruption::TrailingData));
-    }
-    Ok((ops as usize, payload as usize))
-}
-
-/// Writes a trace to a file, streaming the columns in
-/// `CHUNK_BYTES`-sized chunks.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn save(trace: &Trace, path: impl AsRef<Path>) -> std::io::Result<()> {
-    let (header, tags_len, data_len) = header_for(trace);
-    let (tags, data) = trace.encoded_columns();
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&header)?;
-    for chunk in tags.chunks(CHUNK_BYTES) {
-        f.write_all(chunk)?;
-    }
-    for chunk in data.chunks(CHUNK_BYTES) {
-        f.write_all(chunk)?;
-    }
-    poat_telemetry::global()
-        .counter("pmem.trace.saved_bytes")
-        .add((HEADER_BYTES + tags_len + data_len) as u64);
-    Ok(())
-}
-
-/// Reads exactly `len` bytes into a fresh `Vec`, pulling from the reader
-/// in [`CHUNK_BYTES`]-sized chunks so no second whole-column buffer is
-/// ever staged.
-fn read_column(f: &mut impl Read, len: usize) -> Result<Vec<u8>, TraceDecodeError> {
-    let mut col = Vec::with_capacity(len);
-    let mut buf = vec![0u8; CHUNK_BYTES.min(len.max(1))];
-    while col.len() < len {
-        let want = (len - col.len()).min(buf.len());
-        let got = f.read(&mut buf[..want])?;
-        if got == 0 {
-            return Err(TraceDecodeError::Truncated);
-        }
-        col.extend_from_slice(&buf[..got]);
-    }
-    Ok(col)
-}
-
-/// Reads a trace from a file, streaming and validating it. Accepts both
-/// the flat legacy layout and the chunked layout (the latter is opened
-/// via [`MmapTrace`] and materialized, so `load` stays the universal
-/// eager reader).
-///
-/// # Errors
-///
-/// [`TraceDecodeError`] on I/O failure or malformed contents.
-pub fn load(path: impl AsRef<Path>) -> Result<Trace, TraceDecodeError> {
-    let path = path.as_ref();
-    let mut f = std::fs::File::open(path)?;
-    let mut header = [0u8; HEADER_BYTES];
-    f.read_exact(&mut header).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            TraceDecodeError::Truncated
-        } else {
-            TraceDecodeError::Io(e)
-        }
-    })?;
-    if &header[..8] == MAGIC_CHUNKED {
-        drop(f);
-        return MmapTrace::open(path)?.to_trace();
-    }
-    if &header[..8] != MAGIC {
-        return Err(TraceDecodeError::BadMagic);
-    }
-    let ops = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
-    let payload = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice"));
-    let file_body = f
-        .metadata()
-        .map(|m| m.len().saturating_sub(HEADER_BYTES as u64))
-        .unwrap_or(u64::MAX);
-    let (ops_len, payload_len) = columns_extent(ops, payload, file_body)?;
-    let tags = read_column(&mut f, ops_len)?;
-    let data = read_column(&mut f, payload_len)?;
-    let trace = Trace::from_encoded(tags, data)?;
-    poat_telemetry::global()
-        .counter("pmem.trace.loaded_bytes")
-        .add((HEADER_BYTES + ops_len + payload_len) as u64);
-    Ok(trace)
-}
-
-// ---------------------------------------------------------------------
-// Chunked layout + memory-mapped reader
-// ---------------------------------------------------------------------
-//
-// The chunked layout splits the columns into independently decodable
-// chunks so a reader can (a) validate *structure* — framing, lengths,
-// checksums — without decoding a single op, and (b) decode any chunk
-// without replaying the stream before it (each header carries the
-// delta-decoder snapshot at its chunk start, mirroring
-// `trace::ChunkBounds`):
-//
-// ```text
-// magic "POATTRC3" (8 B) | chunk count (u64 LE) | total ops (u64 LE)
-// per chunk:
-//   ops (varint) | payload len (varint)
-//   prev_va (varint) | prev_oid (varint)       -- delta bases at entry
-//   checksum (u64 LE, FNV-1a over the four varints ++ tags ++ payload)
-//   tag spine (ops bytes) | payload (payload-len bytes)
-// ```
-//
-// This is the eyros discipline (SNIPPETS.md §2) applied to a columnar
-// stream: offsets and lengths up front, bulk bytes addressed in place,
-// so a memory-mapped file needs no second whole-column buffer.
-
 /// FNV-1a 64 over the concatenation of `parts`.
 fn fnv1a64(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -293,29 +120,45 @@ fn fnv1a64(parts: &[&[u8]]) -> u64 {
     h
 }
 
-/// Serializes a trace into the chunked layout in memory (the byte-exact
-/// content [`save_chunked`] writes).
-pub fn to_chunked_bytes(trace: &Trace, ops_per_chunk: usize) -> Vec<u8> {
+/// Writes `trace` in the chunked layout to `out`, one chunk at a time
+/// straight from the trace's columns; returns the bytes written.
+fn write_chunked(
+    trace: &Trace,
+    ops_per_chunk: usize,
+    out: &mut impl Write,
+) -> std::io::Result<u64> {
     let (tags, data) = trace.encoded_columns();
     let bounds = trace.chunk_bounds(ops_per_chunk);
-    let mut out =
-        Vec::with_capacity(CHUNKED_HEADER_BYTES + tags.len() + data.len() + bounds.len() * 24);
-    out.extend_from_slice(MAGIC_CHUNKED);
-    out.extend_from_slice(&(bounds.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(tags.len() as u64).to_le_bytes());
+    let mut header = [0u8; CHUNKED_HEADER_BYTES];
+    header[..8].copy_from_slice(MAGIC_CHUNKED);
+    header[8..16].copy_from_slice(&(bounds.len() as u64).to_le_bytes());
+    header[16..24].copy_from_slice(&(tags.len() as u64).to_le_bytes());
+    out.write_all(&header)?;
+    let mut written = header.len();
+    let mut chunk_header = Vec::with_capacity(48);
     for b in &bounds {
         let chunk_tags = &tags[b.first_op as usize..b.first_op as usize + b.ops];
         let chunk_data = &data[b.payload_off..b.payload_off + b.payload_len];
-        let mut fields = Vec::with_capacity(40);
-        put_varint(&mut fields, b.ops as u64);
-        put_varint(&mut fields, b.payload_len as u64);
-        put_varint(&mut fields, b.prev_va);
-        put_varint(&mut fields, b.prev_oid);
-        out.extend_from_slice(&fields);
-        out.extend_from_slice(&fnv1a64(&[&fields, chunk_tags, chunk_data]).to_le_bytes());
-        out.extend_from_slice(chunk_tags);
-        out.extend_from_slice(chunk_data);
+        chunk_header.clear();
+        put_varint(&mut chunk_header, b.ops as u64);
+        put_varint(&mut chunk_header, b.payload_len as u64);
+        put_varint(&mut chunk_header, b.prev_va);
+        put_varint(&mut chunk_header, b.prev_oid);
+        let checksum = fnv1a64(&[&chunk_header, chunk_tags, chunk_data]);
+        chunk_header.extend_from_slice(&checksum.to_le_bytes());
+        out.write_all(&chunk_header)?;
+        out.write_all(chunk_tags)?;
+        out.write_all(chunk_data)?;
+        written += chunk_header.len() + chunk_tags.len() + chunk_data.len();
     }
+    Ok(written as u64)
+}
+
+/// Serializes a trace into the chunked layout in memory (the byte-exact
+/// content [`save_chunked`] writes).
+pub fn to_chunked_bytes(trace: &Trace, ops_per_chunk: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(CHUNKED_HEADER_BYTES + trace.encoded_bytes());
+    write_chunked(trace, ops_per_chunk, &mut out).expect("writing to a Vec cannot fail");
     out
 }
 
@@ -331,37 +174,11 @@ pub fn save_chunked(
     path: impl AsRef<Path>,
     ops_per_chunk: usize,
 ) -> std::io::Result<()> {
-    let (tags, data) = trace.encoded_columns();
-    let bounds = trace.chunk_bounds(ops_per_chunk);
     let mut f = std::fs::File::create(path)?;
-    let mut header = Vec::with_capacity(CHUNKED_HEADER_BYTES);
-    header.extend_from_slice(MAGIC_CHUNKED);
-    header.extend_from_slice(&(bounds.len() as u64).to_le_bytes());
-    header.extend_from_slice(&(tags.len() as u64).to_le_bytes());
-    f.write_all(&header)?;
-    let mut written = header.len();
-    for b in &bounds {
-        let chunk_tags = &tags[b.first_op as usize..b.first_op as usize + b.ops];
-        let chunk_data = &data[b.payload_off..b.payload_off + b.payload_len];
-        let mut chunk_header = Vec::with_capacity(48);
-        put_varint(&mut chunk_header, b.ops as u64);
-        put_varint(&mut chunk_header, b.payload_len as u64);
-        put_varint(&mut chunk_header, b.prev_va);
-        put_varint(&mut chunk_header, b.prev_oid);
-        let checksum = fnv1a64(&[&chunk_header, chunk_tags, chunk_data]);
-        chunk_header.extend_from_slice(&checksum.to_le_bytes());
-        f.write_all(&chunk_header)?;
-        for piece in chunk_tags.chunks(CHUNK_BYTES) {
-            f.write_all(piece)?;
-        }
-        for piece in chunk_data.chunks(CHUNK_BYTES) {
-            f.write_all(piece)?;
-        }
-        written += chunk_header.len() + chunk_tags.len() + chunk_data.len();
-    }
+    let written = write_chunked(trace, ops_per_chunk, &mut f)?;
     poat_telemetry::global()
         .counter("pmem.trace.saved_bytes")
-        .add(written as u64);
+        .add(written);
     Ok(())
 }
 
@@ -394,11 +211,6 @@ struct ChunkRegion {
 /// into [`MmapTrace::checked_ops`] and happens per chunk on first
 /// touch; a chunk that streams through cleanly is remembered as
 /// validated ([`MmapTrace::chunk_validated`]).
-///
-/// Both layouts open: the chunked `POATTRC3` file natively, and a
-/// legacy flat `POATTRC2` file as a single unchunked segment (no
-/// checksum to verify — its structural pass is the header length
-/// check).
 #[derive(Debug)]
 pub struct MmapTrace {
     map: Mapping,
@@ -454,25 +266,6 @@ impl MmapTrace {
     fn structural_pass(bytes: &[u8]) -> Result<Vec<ChunkRegion>, TraceDecodeError> {
         if bytes.len() < 8 {
             return Err(TraceDecodeError::Truncated);
-        }
-        if &bytes[..8] == MAGIC {
-            // Legacy flat layout: one unchunked segment, default bases.
-            if bytes.len() < HEADER_BYTES {
-                return Err(TraceDecodeError::Truncated);
-            }
-            let ops = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-            let payload = u64::from_le_bytes(bytes[16..24].try_into().expect("8-byte slice"));
-            let body = bytes.len() - HEADER_BYTES;
-            let (ops, payload_len) = columns_extent(ops, payload, body as u64)?;
-            return Ok(vec![ChunkRegion {
-                first_op: 0,
-                ops,
-                tag_off: HEADER_BYTES,
-                payload_off: HEADER_BYTES + ops,
-                payload_len,
-                prev_va: 0,
-                prev_oid: 0,
-            }]);
         }
         if &bytes[..8] != MAGIC_CHUNKED {
             return Err(TraceDecodeError::BadMagic);
@@ -552,7 +345,7 @@ impl MmapTrace {
         self.total_ops == 0
     }
 
-    /// Number of chunks in the mapping (1 for a legacy flat file).
+    /// Number of chunks in the mapping.
     pub fn num_chunks(&self) -> usize {
         self.chunks.len()
     }
@@ -566,8 +359,9 @@ impl MmapTrace {
             .unwrap_or(false)
     }
 
-    /// Whether the bytes come from a real memory mapping (`false` on
-    /// the owned fallback).
+    /// Whether the bytes come from a real memory mapping (`false` for
+    /// [`MmapTrace::from_owned`] buffers, empty files, and non-Unix
+    /// platforms).
     pub fn is_mapped(&self) -> bool {
         self.map.is_mapped()
     }
@@ -681,92 +475,6 @@ mod tests {
         rt.take_trace()
     }
 
-    #[test]
-    fn roundtrip_preserves_every_op() {
-        let t = sample_trace();
-        let decoded = from_bytes(&to_bytes(&t)).unwrap();
-        assert!(t.ops().eq(decoded.ops()));
-        assert_eq!(t.summary(), decoded.summary());
-        assert_eq!(t, decoded);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let t = sample_trace();
-        let dir = std::env::temp_dir().join(format!("poat-trace-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.poattrc");
-        save(&t, &path).unwrap();
-        let decoded = load(&path).unwrap();
-        assert!(t.ops().eq(decoded.ops()));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bad_inputs_rejected() {
-        assert!(matches!(
-            from_bytes(b"short"),
-            Err(TraceDecodeError::Truncated)
-        ));
-        assert!(matches!(
-            from_bytes(b"NOTATRACE\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"),
-            Err(TraceDecodeError::BadMagic)
-        ));
-        // Header promises more column bytes than the body holds.
-        let mut data = to_bytes(&sample_trace());
-        data.truncate(data.len() - 3);
-        assert!(matches!(
-            from_bytes(&data),
-            Err(TraceDecodeError::Truncated)
-        ));
-        // Extra bytes after the columns.
-        let mut data = to_bytes(&sample_trace());
-        data.push(0);
-        assert!(matches!(
-            from_bytes(&data),
-            Err(TraceDecodeError::Corrupt(TraceCorruption::TrailingData))
-        ));
-        // Column lengths that overflow u64 when summed.
-        let mut huge = MAGIC.to_vec();
-        huge.extend_from_slice(&u64::MAX.to_le_bytes());
-        huge.extend_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            from_bytes(&huge),
-            Err(TraceDecodeError::Truncated)
-        ));
-    }
-
-    #[test]
-    fn bad_tag_bits_rejected() {
-        // Corrupt the first tag byte: a Fence (kind 6) with an undefined
-        // flag bit set. Find a fence in the sample trace's spine.
-        let t = sample_trace();
-        let mut data = to_bytes(&t);
-        let spine = HEADER_BYTES..HEADER_BYTES + t.len();
-        let fence_at = data[spine]
-            .iter()
-            .position(|&b| b == 6)
-            .expect("sample trace fences");
-        data[HEADER_BYTES + fence_at] = 6 | (1 << 3);
-        assert!(matches!(
-            from_bytes(&data),
-            Err(TraceDecodeError::BadTag(t)) if t == 6 | (1 << 3)
-        ));
-    }
-
-    #[test]
-    fn truncated_payload_column_rejected_on_file_load() {
-        let t = sample_trace();
-        let dir = std::env::temp_dir().join(format!("poat-trace-trunc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.poattrc");
-        let mut bytes = to_bytes(&t);
-        bytes.truncate(bytes.len() - 1);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(load(&path), Err(TraceDecodeError::Truncated)));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// An arbitrary *valid* op: deps are generated as backreferences
     /// relative to the op's position, so they always point at an earlier
     /// op (the `Trace::push` contract; forward deps are normalized away
@@ -841,18 +549,23 @@ mod tests {
         let decoded: Result<Vec<TraceOp>, _> = m.checked_ops().collect();
         assert_eq!(decoded.unwrap(), t.ops().collect::<Vec<_>>());
         assert_eq!(m.to_trace().unwrap(), t);
-        // `load` reads the chunked layout too.
-        assert_eq!(load(&path).unwrap(), t);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn legacy_layout_opens_as_single_chunk() {
-        let t = sample_trace();
-        let m = MmapTrace::from_owned(to_bytes(&t)).unwrap();
-        assert_eq!(m.num_chunks(), 1);
-        assert_eq!(m.len(), t.len());
-        assert_eq!(m.to_trace().unwrap(), t);
+    fn retired_flat_magic_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("poat-trace-flat-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.poattrc");
+        // The retired flat layout: magic, op count, payload length.
+        let mut bytes = b"POATTRC2".to_vec();
+        bytes.extend_from_slice(&[0u8; 16]);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            MmapTrace::open(&path),
+            Err(TraceDecodeError::BadMagic)
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -928,6 +641,17 @@ mod tests {
             Err(TraceDecodeError::Corrupt(TraceCorruption::TrailingData))
         ));
 
+        // Chunk lengths that overflow u64 when summed.
+        let mut bad = good[..CHUNKED_HEADER_BYTES].to_vec();
+        for field in [u64::MAX, u64::MAX, 0, 0] {
+            put_varint(&mut bad, field);
+        }
+        bad.extend_from_slice(&[0u8; 8]);
+        assert!(matches!(
+            MmapTrace::from_owned(bad),
+            Err(TraceDecodeError::Truncated)
+        ));
+
         // Chunk extent overrunning the file.
         let mut bad = good.clone();
         bad.truncate(good.len() - 2);
@@ -960,97 +684,39 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn arbitrary_traces_roundtrip(ops in arb_ops()) {
-            let t: Trace = ops.iter().copied().collect();
-            // In-memory encode → decode.
-            let decoded = from_bytes(&to_bytes(&t)).unwrap();
-            prop_assert!(t.ops().eq(decoded.ops()));
-            prop_assert_eq!(t.summary(), decoded.summary());
-            // The decoded ops also match the (coalescing-normalized)
-            // pushed sequence: re-pushing them reproduces the trace.
-            let repushed: Trace = decoded.ops().collect();
-            prop_assert_eq!(&repushed, &t);
-        }
+        #![proptest_config(ProptestConfig::with_cases(32))]
 
+        /// Each cut re-runs the structural pass, so the case count is
+        /// lower than the other properties'.
         #[test]
-        fn truncating_any_prefix_never_panics(ops in arb_ops(), cut in 0usize..64) {
+        fn every_proper_prefix_is_rejected(ops in arb_ops(), per in 1usize..32) {
             let t: Trace = ops.iter().copied().collect();
-            let mut bytes = to_bytes(&t);
-            let keep = bytes.len().saturating_sub(cut);
-            bytes.truncate(keep);
-            // Must either decode (cut == 0) or error cleanly; never panic.
-            let _ = from_bytes(&bytes);
+            let bytes = to_chunked_bytes(&t, per);
+            for cut in 0..bytes.len() {
+                prop_assert!(
+                    MmapTrace::from_owned(bytes[..cut].to_vec()).is_err(),
+                    "a {cut}-byte prefix of {} bytes opened", bytes.len()
+                );
+            }
         }
+    }
 
+    proptest! {
         #[test]
         fn chunked_traces_roundtrip_via_mmap(ops in arb_ops(), per in 1usize..64) {
             let t: Trace = ops.iter().copied().collect();
             let m = MmapTrace::from_owned(to_chunked_bytes(&t, per)).unwrap();
             prop_assert_eq!(m.len(), t.len());
-            prop_assert_eq!(m.to_trace().unwrap(), t);
+            // `to_trace` re-pushes every decoded op: the decoded stream
+            // is the recorded one, and re-pushing it (coalescing
+            // included) reproduces the trace.
+            let decoded = m.to_trace().unwrap();
+            prop_assert!(t.ops().eq(decoded.ops()));
+            prop_assert_eq!(t.summary(), decoded.summary());
+            prop_assert_eq!(decoded, t);
         }
 
-        /// Satellite: mutate each framing field of a valid legacy
-        /// (POATTRC2) file and assert the exact typed error — through
-        /// BOTH readers (eager `from_bytes` and the mmap structural
-        /// pass), which must agree.
-        #[test]
-        fn legacy_framing_mutations_get_exact_errors(
-            ops in arb_ops(),
-            field in 0usize..4,
-            delta in 1u64..1_000,
-        ) {
-            let t: Trace = ops.iter().copied().collect();
-            let good = to_bytes(&t);
-            let mut bytes = good.clone();
-            let expect_legacy = match field {
-                0 => {
-                    // Magic.
-                    bytes[(delta as usize) % 8] ^= 0xFF;
-                    "BadMagic"
-                }
-                1 => {
-                    // Op count inflated: columns overrun the body.
-                    let ops_field = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-                    bytes[8..16].copy_from_slice(&ops_field.wrapping_add(delta).to_le_bytes());
-                    "Truncated"
-                }
-                2 => {
-                    // Payload length deflated: leftover body bytes
-                    // (falls through to trailing garbage when the
-                    // payload column is already empty).
-                    let pay = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-                    if pay == 0 {
-                        bytes.push(0);
-                    } else {
-                        let cut = delta.min(pay);
-                        bytes[16..24].copy_from_slice(&(pay - cut).to_le_bytes());
-                    }
-                    "TrailingData"
-                }
-                _ => {
-                    // Trailing garbage after the columns.
-                    bytes.extend(std::iter::repeat(0u8).take(delta as usize % 16 + 1));
-                    "TrailingData"
-                }
-            };
-            let classify = |r: Result<Trace, TraceDecodeError>| match r {
-                Err(TraceDecodeError::BadMagic) => "BadMagic",
-                Err(TraceDecodeError::Truncated) => "Truncated",
-                Err(TraceDecodeError::Corrupt(TraceCorruption::TrailingData)) => "TrailingData",
-                Err(_) => "other",
-                Ok(_) => "ok",
-            };
-            prop_assert_eq!(classify(from_bytes(&bytes)), expect_legacy);
-            prop_assert_eq!(
-                classify(MmapTrace::from_owned(bytes).and_then(|m| m.to_trace())),
-                expect_legacy
-            );
-        }
-
-        /// Satellite: same discipline for the chunked layout — mutate
-        /// each framing field of a valid POATTRC3 file and assert the
+        /// Mutate each framing field of a valid file and assert the
         /// exact typed error from the mmap structural pass.
         #[test]
         fn chunked_framing_mutations_get_exact_errors(

@@ -149,7 +149,6 @@ fn simulate_inorder_ops_impl(
     enable_batching: bool,
 ) -> Result<SimResult, SimError> {
     let _replay_span = poat_telemetry::global().span(poat_telemetry::PHASE_TRACE_REPLAY);
-    let _replay_prof = profile::scope(poat_telemetry::PHASE_TRACE_REPLAY);
     let mut hier = MemoryHierarchy::new(&cfg.mem);
     let mut tlb = Tlb::new(cfg.mem.dtlb_entries);
     let mut xlate = TranslationUnit::new(cfg.translation, state);

@@ -22,8 +22,9 @@
 //!
 //! Phase timing uses span guards: [`Registry::span`] starts a wall-clock
 //! timer whose `Drop` records nanoseconds into `span.<phase>.nanos` and
-//! bumps `span.<phase>.count`. The canonical phase names used across the
-//! workspace are the `PHASE_*` constants.
+//! bumps `span.<phase>.count`; on the global registry the same guard is
+//! the phase's node in the [`profile`] span tree. The canonical phase
+//! names used across the workspace are the `PHASE_*` constants.
 //!
 //! ## Naming convention
 //!
@@ -319,9 +320,16 @@ impl Registry {
 
     /// Starts a wall-clock span for `phase`; its guard records
     /// `span.<phase>.nanos` (histogram) and `span.<phase>.count`
-    /// (counter) when dropped.
+    /// (counter) when dropped. On [`global()`] the guard also holds
+    /// `phase` open in the [`profile`] span tree, so one call marks a
+    /// phase boundary for both; isolated registries never feed the tree.
     pub fn span(&self, phase: &str) -> Span {
-        self.span_timer(phase).start()
+        let timer = self.span_timer(phase);
+        let mut span = timer.start();
+        if timer.is_global {
+            span.profile = Some(profile::scope(phase));
+        }
+        span
     }
 
     /// Resolves the metric handles for `phase` once, so hot code can
@@ -466,6 +474,7 @@ impl SpanTimer {
             nanos: self.nanos.clone(),
             count: self.count.clone(),
             scoped,
+            profile: None,
             start: Instant::now(),
         }
     }
@@ -493,6 +502,9 @@ pub struct Span {
     nanos: Histogram,
     count: Counter,
     scoped: Option<(Histogram, Counter)>,
+    /// The span-tree scope a [`Registry::span`] phase boundary holds
+    /// open; dropped (and so closed) after the series record.
+    profile: Option<profile::ProfileScope>,
     start: Instant,
 }
 

@@ -74,7 +74,7 @@ pub fn enabled() -> bool {
 
 /// Sets the 1-in-`n` sampling rate for per-operation scopes
 /// ([`begin_op`]/[`hot_scope`]); `0` is treated as 1 (every operation).
-/// Phase-level [`scope`]s are never sampled out.
+/// Phase-level spans ([`Registry::span`]) are never sampled out.
 pub fn set_sample(n: u64) {
     SAMPLE.store(n.max(1), Ordering::Relaxed);
 }
@@ -224,9 +224,10 @@ impl Drop for ProfileScope {
 
 /// Enters a phase-level scope named `name` under the innermost open scope
 /// of this thread (or as a root). Always active while profiling is
-/// enabled — never sampled out.
+/// enabled — never sampled out. Callers reach it through
+/// [`Registry::span`] on the global registry.
 #[inline]
-pub fn scope(name: &str) -> ProfileScope {
+pub(crate) fn scope(name: &str) -> ProfileScope {
     if !enabled() {
         return ProfileScope { depth: None };
     }
@@ -556,6 +557,25 @@ mod tests {
             .unwrap();
         assert_eq!(hot.count, 5, "1-in-2 sampling keeps half the ops");
         assert_eq!(inner.count, 5, "nested hot scope follows the op decision");
+        reset();
+    }
+
+    #[test]
+    fn only_global_registry_spans_enter_the_tree() {
+        let _g = lock();
+        set_enabled(true);
+        reset();
+        {
+            let _glob = crate::global().span("t_span_glob");
+            let _iso = Registry::new().span("t_span_iso");
+        }
+        set_enabled(false);
+        let snap = snapshot();
+        assert!(snap.paths.iter().any(|p| p.path == "t_span_glob"));
+        assert!(
+            !snap.paths.iter().any(|p| p.path.contains("t_span_iso")),
+            "isolated registries must not feed the global span tree"
+        );
         reset();
     }
 

@@ -8,7 +8,8 @@
 //! ```
 
 use poat::core::TranslationConfig;
-use poat::pmem::{trace_io, Runtime};
+use poat::pmem::trace_io::{self, MmapTrace};
+use poat::pmem::Runtime;
 use poat::sim::{simulate_inorder, SimConfig};
 use poat::workloads::{ExpConfig, Micro, Pattern};
 
@@ -23,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join("poat-record-replay");
     std::fs::create_dir_all(&dir)?;
     let path = dir.join("bpt-random-opt.poattrc");
-    trace_io::save(&trace, &path)?;
+    trace_io::save_chunked(&trace, &path, trace_io::DEFAULT_CHUNK_OPS)?;
     let on_disk = std::fs::metadata(&path)?.len();
     println!(
         "recorded {} trace ops ({} dynamic instructions) -> {} ({on_disk} bytes)",
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Replay the *file* against a sweep of POLB sizes.
-    let replayed = trace_io::load(&path)?;
+    let replayed = MmapTrace::open(&path)?.to_trace()?;
     assert!(replayed.ops().eq(trace.ops()), "replayed trace differs");
     println!("\nPOLB size sweep over the saved trace (in-order):");
     for entries in [0usize, 1, 4, 32, 128] {

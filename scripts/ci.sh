@@ -59,10 +59,11 @@ grep -q '2 records in' "$trace_dir/report.txt"
 grep -q 'run000002' "$trace_dir/report.txt"
 
 echo "==> repro trace-roundtrip smoke (offline)"
-# Quick-scale trace save -> load -> simulate round trip: the loaded
-# trace must equal the recorded one, both must simulate bit-identically
-# on every core, and the encoding must stay within its 12 B/op budget
-# (DESIGN.md "Trace encoding"). Exits non-zero on any mismatch.
+# Quick-scale trace save -> mmap -> simulate round trip through the
+# chunked POATTRC3 file format: the mapped trace must equal the recorded
+# one, both must simulate bit-identically on every core, and the
+# encoding must stay within its 12 B/op budget (DESIGN.md §5a). Exits
+# non-zero on any mismatch.
 cargo run --release -p poat-harness --bin repro --locked --offline -- \
   trace-roundtrip --scale quick --dir "$trace_dir"
 
@@ -118,6 +119,13 @@ fi
 # just appended must compare clean against the identical report file.
 cargo run --release -p poat-bench --bin bench-compare --locked --offline -- \
   --ledger "$ledger" "$trace_dir/bench_smoke.json"
+
+echo "==> bench-e2e smoke (offline)"
+# The end-to-end benchmark (bench-e2e/E2E.md) is its own package built
+# against the workspace crates' public API, so removing an item it
+# imports fails here. --smoke runs one quick-scale iteration of every
+# workload and exits non-zero on any failed op.
+cargo run --release --offline --locked --manifest-path bench-e2e/Cargo.toml --bin bench-e2e -- --smoke
 
 if [[ -n "${POAT_BENCH_FULL_BUDGET:-}" && "${POAT_BENCH_FULL_BUDGET}" != 0 ]]; then
   echo "==> full-scale matrix budget (opt-in via POAT_BENCH_FULL_BUDGET)"
