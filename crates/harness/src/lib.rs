@@ -32,7 +32,7 @@
 //!
 //! [`serve`] turns the batch harness into an always-on service: a
 //! filesystem job spool, an async queue over the same worker pool, and
-//! the durable `poat-catalog` run catalog recording every job — driven
+//! the durable `poat_ledger::catalog` run catalog recording every job — driven
 //! by `repro serve` / `repro submit` / `repro jobs` /
 //! `repro catalog query` (docs/OBSERVABILITY.md).
 
