@@ -40,7 +40,7 @@ fn load(path: &str) -> BenchReport {
 /// Pulls the baseline report out of the newest `bench-run` ledger
 /// record's embedded JSON.
 fn load_from_ledger(path: &str) -> BenchReport {
-    let ledger = poat_ledger::open_file(std::path::Path::new(path))
+    let ledger = poat_ledger::open_file_read_only(std::path::Path::new(path))
         .unwrap_or_else(|e| die(&format!("opening ledger {path}: {e}")));
     let record = ledger
         .records()
