@@ -42,6 +42,7 @@ const SIM: &str = "crates/sim/src/fixture.rs";
 const PMEM_RT: &str = "crates/pmem/src/runtime.rs";
 const CORE: &str = "crates/core/src/fixture.rs";
 const EVENTS: &str = "crates/telemetry/src/events.rs";
+const CODEC: &str = "crates/ledger/src/codec.rs";
 const METRICS: &str = "docs/METRICS.md";
 
 const CASES: &[Case] = &[
@@ -102,6 +103,12 @@ const CASES: &[Case] = &[
         rule: "unwrap-in-hot-path",
         files: &[(SIM, R3_OK)],
         expected: &[],
+    },
+    Case {
+        name: "r3-durable-log-decoder",
+        rule: "unwrap-in-hot-path",
+        files: &[(CODEC, R3_BAD)],
+        expected: &[(CODEC, 3, "unwrap"), (CODEC, 4, "expect")],
     },
     Case {
         name: "r3-out-of-scope",

@@ -152,7 +152,18 @@ impl SimResult {
     /// uses `artifact`, then workload identifiers, then `design`.
     pub fn publish(&self, labels: &[(&str, &str)]) {
         let registry = poat_telemetry::global();
-        let series = [
+        for (name, value) in self.series() {
+            registry
+                .counter(&poat_telemetry::labeled(name, labels))
+                .add(value);
+        }
+    }
+
+    /// Every published quantity under its `sim.result.*` name — the one
+    /// list [`publish`](Self::publish) and the serve catalog's stored
+    /// metrics both derive from.
+    pub fn series(&self) -> [(&'static str, u64); 16] {
+        [
             ("sim.result.cycles", self.cycles),
             ("sim.result.instructions", self.instructions),
             ("sim.result.polb_hits", self.translation.polb.hits),
@@ -172,12 +183,7 @@ impl SimResult {
             ("sim.result.tlb_hits", self.tlb.hits),
             ("sim.result.tlb_misses", self.tlb.misses),
             ("sim.result.store_forwards", self.store_forwards),
-        ];
-        for (name, value) in series {
-            registry
-                .counter(&poat_telemetry::labeled(name, labels))
-                .add(value);
-        }
+        ]
     }
 }
 
