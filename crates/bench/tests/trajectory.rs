@@ -250,3 +250,24 @@ fn committed_baseline_in_repo_parses_and_matches_suite() {
         );
     }
 }
+
+/// `bench-compare --ledger` is a read-only observer of the run ledger.
+#[test]
+fn ledger_baseline_from_a_missing_path_creates_nothing() {
+    let dir = std::env::temp_dir().join(format!("poat_compare_absent_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ledger = dir.join("absent").join("ledger.poatlgr");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bench-compare"))
+        .args(["--ledger".as_ref(), ledger.as_os_str(), "new.json".as_ref()])
+        .output()
+        .expect("run bench-compare");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no bench-run record with a report in ledger"));
+    assert!(
+        !dir.join("absent").exists(),
+        "bench-compare created the directory"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -17,6 +17,9 @@ fn occupancy_gauge() -> poat_telemetry::Gauge {
     poat_telemetry::global().gauge("core.pot.occupancy")
 }
 
+/// Both tests assert on that one gauge; they must not interleave.
+static GAUGE_USERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[derive(Clone, Debug)]
 enum Op {
     Insert(u32, u64),
@@ -38,6 +41,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
     #[test]
     fn pot_agrees_with_model_under_churn(ops in prop::collection::vec(op_strategy(), 1..80)) {
+        let _serial = GAUGE_USERS.lock().unwrap_or_else(|e| e.into_inner());
         let mut pot = Pot::new(ENTRIES);
         let mut model: HashMap<u32, u64> = HashMap::new();
         let gauge = occupancy_gauge();
@@ -83,6 +87,7 @@ proptest! {
 
 #[test]
 fn fresh_pot_resets_occupancy_gauge() {
+    let _serial = GAUGE_USERS.lock().unwrap_or_else(|e| e.into_inner());
     let mut a = Pot::new(ENTRIES);
     for i in 1..=3u32 {
         a.insert(PoolId::new(i).unwrap(), VirtAddr::new(i as u64 * 4096))
