@@ -1,5 +1,6 @@
 // SPDX-License-Identifier: MIT OR Apache-2.0
-//! Output-artifact naming and crash-safe writes.
+//! Output-artifact naming, crash-safe writes, and comparison against a
+//! committed copy.
 //!
 //! Artifacts (`results_full.json`, metrics snapshots) are written twice
 //! per ledgered run: once under a run-id-suffixed name that no later
@@ -13,6 +14,8 @@
 
 use std::io::Write;
 use std::path::Path;
+
+use serde_json::Value;
 
 use crate::notify;
 
@@ -85,6 +88,74 @@ pub fn write_artifact(what: &str, path: &str, run_id: Option<&str>, contents: &s
     }
 }
 
+/// The first place a fresh artifact differs from its committed copy, as
+/// a path with both values (`main.fig9a[3 BST/RANDOM].pipelined:
+/// committed 2.3, fresh 2.24`), or `None` when the two are equal.
+///
+/// Array elements are named by index plus their string fields (a row's
+/// `bench`/`pattern`), so the path names the row that moved. Map keys
+/// missing on either side, and arrays of different lengths, are
+/// differences too.
+pub fn first_difference(committed: &Value, fresh: &Value) -> Option<String> {
+    difference_at("", committed, fresh)
+}
+
+fn difference_at(path: &str, committed: &Value, fresh: &Value) -> Option<String> {
+    let key_path = |k: &str| {
+        if path.is_empty() {
+            k.to_string()
+        } else {
+            format!("{path}.{k}")
+        }
+    };
+    match (committed, fresh) {
+        (Value::Map(c), Value::Map(f)) => c
+            .iter()
+            .find_map(|(k, cv)| match fresh.get(k) {
+                Some(fv) => difference_at(&key_path(k), cv, fv),
+                None => Some(format!("{}: missing from the fresh output", key_path(k))),
+            })
+            .or_else(|| {
+                f.iter()
+                    .find(|(k, _)| committed.get(k).is_none())
+                    .map(|(k, _)| format!("{}: not in the committed copy", key_path(k)))
+            }),
+        (Value::Seq(c), Value::Seq(f)) => c
+            .iter()
+            .zip(f)
+            .enumerate()
+            .find_map(|(i, (cv, fv))| {
+                difference_at(&format!("{path}[{}]", row_name(i, cv)), cv, fv)
+            })
+            .or_else(|| {
+                (c.len() != f.len())
+                    .then(|| format!("{path}: {} entries committed, {} fresh", c.len(), f.len()))
+            }),
+        _ => (committed != fresh).then(|| {
+            let show = |v: &Value| serde_json::to_string(v).unwrap_or_default();
+            format!(
+                "{path}: committed {}, fresh {}",
+                show(committed),
+                show(fresh)
+            )
+        }),
+    }
+}
+
+/// `3` for a plain element, `3 BST/RANDOM` for a row carrying string
+/// fields.
+fn row_name(index: usize, row: &Value) -> String {
+    let Value::Map(fields) = row else {
+        return index.to_string();
+    };
+    let names: Vec<&str> = fields.iter().filter_map(|(_, v)| v.as_str()).collect();
+    if names.is_empty() {
+        index.to_string()
+    } else {
+        format!("{index} {}", names.join("/"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +222,38 @@ mod tests {
             .join("nope")
             .join("artifact.json");
         assert!(write_atomic(path.to_str().unwrap(), "x").is_err());
+    }
+
+    #[test]
+    fn first_difference_names_the_row_and_both_values() {
+        let rows = |last: &str| -> Value {
+            serde_json::from_str(&format!(
+                r#"{{"main":{{"fig9a":[{{"bench":"LL","pattern":"ALL","pipelined":1.5}},
+                    {{"bench":"BST","pattern":"RANDOM","pipelined":{last}}}]}},"seeds":[1,2]}}"#
+            ))
+            .unwrap()
+        };
+        let (committed, fresh) = (rows("2.3"), rows("2.24"));
+        assert_eq!(first_difference(&committed, &committed), None);
+        assert_eq!(
+            first_difference(&committed, &fresh).as_deref(),
+            Some("main.fig9a[1 BST/RANDOM].pipelined: committed 2.3, fresh 2.24")
+        );
+        let shorter: Value = serde_json::from_str(r#"{"main":{"fig9a":[]},"seeds":[1]}"#).unwrap();
+        assert_eq!(
+            first_difference(&committed, &shorter).as_deref(),
+            Some("main.fig9a: 2 entries committed, 0 fresh")
+        );
+        let extra: Value = serde_json::from_str(r#"{"extra":0}"#).unwrap();
+        assert_eq!(
+            first_difference(&committed, &extra).as_deref(),
+            Some("main: missing from the fresh output")
+        );
+        let empty: Value = serde_json::from_str("{}").unwrap();
+        assert_eq!(
+            first_difference(&empty, &extra).as_deref(),
+            Some("extra: not in the committed copy")
+        );
     }
 
     #[test]
