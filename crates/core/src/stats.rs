@@ -49,17 +49,6 @@ pub struct TranslationStats {
     pub translation_cycles: u64,
 }
 
-impl TranslationStats {
-    /// Merges another unit's counters into this one (e.g. across cores).
-    pub fn merge(&mut self, other: &TranslationStats) {
-        self.polb.hits += other.polb.hits;
-        self.polb.misses += other.polb.misses;
-        self.pot_walks += other.pot_walks;
-        self.exceptions += other.exceptions;
-        self.translation_cycles += other.translation_cycles;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,27 +63,5 @@ mod tests {
         let s = PolbStats { hits: 9, misses: 1 };
         assert!((s.miss_rate() - 0.1).abs() < 1e-12);
         assert_eq!(s.lookups(), 10);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = TranslationStats {
-            polb: PolbStats { hits: 1, misses: 2 },
-            pot_walks: 2,
-            exceptions: 0,
-            translation_cycles: 60,
-        };
-        let b = TranslationStats {
-            polb: PolbStats { hits: 3, misses: 4 },
-            pot_walks: 4,
-            exceptions: 1,
-            translation_cycles: 120,
-        };
-        a.merge(&b);
-        assert_eq!(a.polb.hits, 4);
-        assert_eq!(a.polb.misses, 6);
-        assert_eq!(a.pot_walks, 6);
-        assert_eq!(a.exceptions, 1);
-        assert_eq!(a.translation_cycles, 180);
     }
 }

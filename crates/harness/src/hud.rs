@@ -17,8 +17,8 @@
 //! where HUD lines land (`--hud SECS` wires the sink to stderr). With no
 //! sink and no interval the monitor only maintains its gauges —
 //! `pool.queue.depth{pool=L}`, `pool.workers.active{pool=L}` (labeled by
-//! pool, because the matrix pool and the nested sharded-replay pools
-//! coexist), and the per-worker `pool.worker.tasks{worker=N}` /
+//! pool, so the experiment pools and the serve pool keep separate
+//! series), and the per-worker `pool.worker.tasks{worker=N}` /
 //! `pool.worker.busy_nanos{worker=N}` series (docs/METRICS.md) — at a
 //! cost of a few atomic stores per task, invisible next to a simulation.
 
@@ -89,9 +89,8 @@ struct WorkerSlot {
 pub struct PoolMonitor {
     label: String,
     /// `pool.workers.active{pool=<label>}` — the liveness gauges carry
-    /// the pool label because pools nest (the experiment matrix pool
-    /// dispatches runs whose sharded replays each open a `shard` pool);
-    /// unlabeled gauges would clobber each other across levels.
+    /// the pool label (`map` for the experiment pools, `serve` for serve
+    /// jobs), so one pool's gauges never overwrite another's.
     workers_gauge: String,
     /// `pool.queue.depth{pool=<label>}` (see `workers_gauge`).
     queue_gauge: String,

@@ -122,9 +122,9 @@ fn help() -> ! {
          --workload/--design/--scale/--status  query filters (exact match)\n\n\
          options:\n  \
          --quick            ~10x smaller workloads (smoke-test scale)\n  \
-         --workers N        worker-pool width for the experiment matrix and\n                     \
-         sharded full-scale replay (default: host cores,\n                     \
-         capped at 24; results are identical at any width)\n  \
+         --workers N        worker-pool width: how many experiment cells run\n                     \
+         at once (default: host cores, capped at 24;\n                     \
+         results are identical at any width)\n  \
          --json PATH        write every artifact's rows as JSON\n  \
          --csv DIR          write per-artifact CSV files into DIR\n  \
          --metrics PATH     write the telemetry snapshot (docs/METRICS.md)\n  \

@@ -6,10 +6,7 @@ use poat_core::{PolbDesign, TranslationConfig};
 use poat_pmem::{
     ChunkBounds, MachineState, Runtime, RuntimeConfig, Trace, TraceSummary, XlatStats,
 };
-use poat_sim::{
-    simulate_inorder, simulate_inorder_ops_warm, simulate_ooo, simulate_ooo_ops_warm, SimConfig,
-    SimResult,
-};
+use poat_sim::{simulate_inorder, simulate_ooo, SimConfig, SimResult};
 use poat_workloads::{ExpConfig, Micro, Pattern, Tpcc, TpccConfig, TpccPattern};
 
 /// Scale knob for every experiment: `full` reproduces the paper's exact
@@ -241,10 +238,8 @@ pub fn simulate(run: &WorkloadRun, core: Core, translation: TranslationConfig) -
 /// [`simulate`] with a full simulator configuration (cache/prefetch
 /// knobs for ablations).
 ///
-/// Traces of at least [`SHARD_MIN_OPS`] ops are replayed sharded (see
-/// [`simulate_sharded`]); smaller traces — everything at quick scale —
-/// take the whole-trace path, whose results are bit-identical to every
-/// earlier release.
+/// Always replays the whole trace in one pass, so the result is the
+/// model's own number at every scale and every `--workers` width.
 ///
 /// # Panics
 ///
@@ -255,9 +250,6 @@ pub fn simulate_with(run: &WorkloadRun, core: Core, cfg: SimConfig) -> SimResult
     // distribution (the unscoped series still aggregates all of them).
     let _scope = poat_telemetry::run_scope(&run.label);
     let _sim_span = poat_telemetry::global().span(poat_telemetry::PHASE_POLB_SIM);
-    if run.trace.len() >= SHARD_MIN_OPS {
-        return simulate_sharded(run, core, &cfg);
-    }
     match core {
         Core::InOrder => simulate_inorder(&run.trace, &run.state, &cfg),
         Core::OutOfOrder => simulate_ooo(&run.trace, &run.state, &cfg),
@@ -265,31 +257,20 @@ pub fn simulate_with(run: &WorkloadRun, core: Core, cfg: SimConfig) -> SimResult
     .expect("unsupported core/design combination")
 }
 
-/// Ops per shard of a sharded replay. Fixed — never derived from the
-/// worker count — so the shard geometry, and therefore the merged
-/// result, is identical at any `--workers` width. Sized so the one-chunk
-/// functional warmup (see [`warm_shard_span`]) amortizes over a long
-/// measured window: smaller shards expose more boundaries and more
-/// residual cold-structure distortion.
+/// Ops per chunk of the sharded replay earlier releases used for long
+/// traces. The runner never shards; kept for bench-e2e, which still
+/// reports shard geometry, until a benchmark change drops it.
 pub const SHARD_OPS: usize = 1 << 19;
 
-/// Minimum trace length (ops) before [`simulate_with`] shards the
-/// replay. Quick-scale traces sit below this — the largest, TPC-C
-/// BASE, is ~270 K ops — and keep their historical whole-trace
-/// results; full-scale TPC-C (millions of ops) and the full-scale
-/// microbenchmarks (~860 K+) sit above it.
-pub const SHARD_MIN_OPS: usize = 1 << 19;
+/// Trace length from which the runner would shard a replay: the runner
+/// never shards, so no trace reaches it. Kept for bench-e2e until a
+/// benchmark change drops it.
+pub const SHARD_MIN_OPS: usize = usize::MAX;
 
-/// The trace span shard `k` replays, plus its warmup length in ops.
-///
-/// Shard `k > 0` replays its own chunk *prefixed by the whole previous
-/// chunk* of functional warmup: the warmup ops run through the full
-/// detailed model to fill caches/TLB/POLB, the simulator snapshots
-/// every counter at the warmup/measure boundary, and the shard reports
-/// only the advance past the snapshot ([`SimResult::delta_since`]).
-/// Shard `0` has no predecessor and replays unwarmed. Chunks are
-/// contiguous in the encoded columns, so the two-chunk span is itself a
-/// well-formed [`ChunkBounds`].
+/// The span shard `k` covered under the retired sharded replay (its own
+/// chunk prefixed by the whole previous chunk as warmup), plus that
+/// warmup length in ops. The runner never shards; kept for bench-e2e
+/// until a benchmark change drops it.
 pub fn warm_shard_span(bounds: &[ChunkBounds], k: usize) -> (ChunkBounds, usize) {
     if k == 0 {
         return (bounds[0], 0);
@@ -304,58 +285,6 @@ pub fn warm_shard_span(bounds: &[ChunkBounds], k: usize) -> (ChunkBounds, usize)
         prev_oid: prev.prev_oid,
     };
     (span, prev.ops)
-}
-
-/// Replays one run split into [`SHARD_OPS`]-op chunk-aligned shards
-/// across the worker pool, merging the per-shard [`SimResult`]s in
-/// shard order with [`SimResult::absorb`].
-///
-/// Each shard warms up on the chunk preceding it ([`warm_shard_span`])
-/// and measures only its own chunk, with dependency edges into ops
-/// before its span treated as ready — the standard sampled-warmup
-/// approximation: the warmup window bounds how much history a shard
-/// sees, so sharded cycle counts differ slightly (pessimistically) from
-/// whole-trace replay, but are a pure function of the trace and
-/// [`SHARD_OPS`], never of the pool width. Publishes the
-/// `harness.shard.*` counters (docs/METRICS.md).
-///
-/// # Panics
-///
-/// Panics if the combination is unsupported (Parallel on out-of-order).
-pub fn simulate_sharded(run: &WorkloadRun, core: Core, cfg: &SimConfig) -> SimResult {
-    let bounds = run.trace.chunk_bounds(SHARD_OPS);
-    if bounds.len() < 2 {
-        return match core {
-            Core::InOrder => simulate_inorder(&run.trace, &run.state, cfg),
-            Core::OutOfOrder => simulate_ooo(&run.trace, &run.state, cfg),
-        }
-        .expect("unsupported core/design combination");
-    }
-    let registry = poat_telemetry::global();
-    registry.counter("harness.shard.replays").inc();
-    registry
-        .counter("harness.shard.shards")
-        .add(bounds.len() as u64);
-    registry
-        .counter("harness.shard.ops")
-        .add(run.trace.len() as u64);
-    let shards: Vec<(ChunkBounds, usize)> = (0..bounds.len())
-        .map(|k| warm_shard_span(&bounds, k))
-        .collect();
-    // The closure returns the Result so an unsupported combination
-    // panics on the merge below (in this thread), not inside a worker.
-    let results = parallel_map_labeled("shard", shards, default_workers(), |(span, warm)| {
-        let slice = run.trace.slice(&span);
-        match core {
-            Core::InOrder => simulate_inorder_ops_warm(slice.ops(), warm, &run.state, cfg),
-            Core::OutOfOrder => simulate_ooo_ops_warm(slice.ops(), warm, &run.state, cfg),
-        }
-    });
-    let mut total = SimResult::default();
-    for r in &results {
-        total.absorb(r.as_ref().expect("unsupported core/design combination"));
-    }
-    total
 }
 
 /// The three translation configurations Figure 9 compares.
@@ -388,11 +317,14 @@ where
     parallel_map_labeled("map", inputs, max_workers, f)
 }
 
-/// [`parallel_map`] with an explicit pool label. Pools nest — the
-/// experiment matrix pool dispatches runs whose sharded replays each
-/// open their own pool — and the label keeps each pool's
-/// `pool.workers.active{pool=...}` / `pool.queue.depth{pool=...}`
+/// [`parallel_map`] with an explicit pool label. The label keeps each
+/// pool's `pool.workers.active{pool=...}` / `pool.queue.depth{pool=...}`
 /// gauges and HUD lines apart (docs/METRICS.md).
+///
+/// # Panics
+///
+/// Re-raises the first panic a task raised, once every worker has
+/// stopped.
 pub fn parallel_map_labeled<T, R, F>(
     label: &str,
     inputs: Vec<T>,
@@ -413,7 +345,7 @@ where
     let results_mutex = Mutex::new(&mut results);
     let workers = max_workers.max(1).min(n.max(1));
     let monitor = crate::hud::PoolMonitor::new(label, workers, n as u64);
-    std::thread::scope(|s| {
+    let panicked = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let (queue, results_mutex, monitor, f) = (&queue, &results_mutex, &monitor, &f);
@@ -430,11 +362,18 @@ where
         if crate::hud::interval().is_some() {
             s.spawn(|| monitor.run_watchdog());
         }
+        let mut panicked = None;
         for h in handles {
-            let _ = h.join();
+            if let Err(payload) = h.join() {
+                panicked.get_or_insert(payload);
+            }
         }
         monitor.finish();
+        panicked
     });
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
     results
         .into_iter()
         .map(|r| r.expect("worker completed every task"))
@@ -444,12 +383,11 @@ where
 /// `repro --workers N` override; 0 means "not set, use the host width".
 static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Forces every subsequent worker pool — the experiment matrix and the
-/// sharded-replay pools alike — to `workers` threads (`None` restores
-/// the host-derived default). Pool width never affects results (shard
-/// geometry and merge order are fixed), only wall-clock; the
-/// determinism test replays the same config at several widths through
-/// this knob.
+/// Forces every subsequent worker pool to `workers` threads (`None`
+/// restores the host-derived default). Pools run whole cells, and every
+/// replay covers its whole trace, so pool width never affects results,
+/// only wall-clock; the exactness test replays at several widths
+/// through this knob.
 pub fn set_worker_override(workers: Option<usize>) {
     WORKER_OVERRIDE.store(workers.unwrap_or(0), Ordering::Relaxed);
 }
@@ -506,9 +444,19 @@ mod tests {
         assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
     }
 
-    /// A synthetic run big enough to trip [`SHARD_MIN_OPS`]: a plain
-    /// load/store/exec mix over a spread of pages, wrapped around the
-    /// machine state of a real (quick) run.
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn parallel_map_reraises_a_task_panic() {
+        parallel_map((0..4).collect(), 1, |x: i32| {
+            assert!(x != 1, "boom");
+            x
+        });
+    }
+
+    /// A synthetic run longer than the 2^19 ops from which earlier
+    /// releases sharded the replay: a plain load/store/exec mix over a
+    /// spread of pages, wrapped around the machine state of a real
+    /// (quick) run.
     fn big_synthetic_run() -> WorkloadRun {
         use poat_core::VirtAddr;
         use poat_pmem::TraceOp;
@@ -516,7 +464,7 @@ mod tests {
         let seed_run = run_micro(Micro::Ll, Pattern::All, ExpConfig::Opt, Scale::Quick);
         let mut trace = Trace::new();
         let mut x: u64 = 0xC0FFEE;
-        for i in 0..(SHARD_MIN_OPS as u64 + 10_000) {
+        for i in 0..(SHARD_OPS as u64 + 10_000) {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -529,8 +477,8 @@ mod tests {
                 }),
                 _ => trace.push(TraceOp::Load {
                     va,
-                    // A backref that regularly crosses shard boundaries,
-                    // so rebasing is exercised.
+                    // A backref up to 100 000 ops back, which regularly
+                    // crosses the old 2^19-op shard boundary.
                     dep: Some(i.saturating_sub(x % 100_000)),
                 }),
             };
@@ -546,55 +494,21 @@ mod tests {
     }
 
     #[test]
-    fn sharded_replay_is_deterministic_across_worker_widths() {
-        let run = big_synthetic_run();
-        assert!(
-            run.trace.len() >= SHARD_MIN_OPS,
-            "must take the sharded path"
-        );
-        let mut results = Vec::new();
-        for width in [1usize, 8, 24] {
-            set_worker_override(Some(width));
-            results.push(simulate(&run, Core::InOrder, pipelined()));
-        }
-        set_worker_override(None);
-        assert_eq!(results[0], results[1], "1 vs 8 workers");
-        assert_eq!(results[0], results[2], "1 vs 24 workers");
-    }
-
-    #[test]
-    fn sharded_replay_equals_manual_shard_merge() {
+    fn full_scale_replay_is_exact_at_every_width() {
         let run = big_synthetic_run();
         let cfg = SimConfig::with_translation(pipelined());
-        let bounds = run.trace.chunk_bounds(SHARD_OPS);
-        assert!(bounds.len() >= 2, "must split into several shards");
-        let mut manual = SimResult::default();
-        for k in 0..bounds.len() {
-            let (span, warm) = warm_shard_span(&bounds, k);
-            let shard =
-                simulate_inorder_ops_warm(run.trace.slice(&span).ops(), warm, &run.state, &cfg)
-                    .expect("in-order supports every design");
-            manual.absorb(&shard);
+        let inorder = simulate_inorder(&run.trace, &run.state, &cfg).unwrap();
+        let ooo = simulate_ooo(&run.trace, &run.state, &cfg).unwrap();
+        for width in [1usize, 8] {
+            set_worker_override(Some(width));
+            let got = (
+                simulate(&run, Core::InOrder, pipelined()),
+                simulate(&run, Core::OutOfOrder, pipelined()),
+            );
+            set_worker_override(None);
+            assert_eq!(got.0, inorder, "in-order at {width} workers");
+            assert_eq!(got.1, ooo, "out-of-order at {width} workers");
         }
-        assert_eq!(simulate_with(&run, Core::InOrder, cfg), manual);
-    }
-
-    #[test]
-    fn warm_shard_spans_cover_the_trace_contiguously() {
-        let run = big_synthetic_run();
-        let bounds = run.trace.chunk_bounds(SHARD_OPS);
-        assert!(bounds.len() >= 2);
-        let mut measured = 0usize;
-        for k in 0..bounds.len() {
-            let (span, warm) = warm_shard_span(&bounds, k);
-            // The measured window is exactly this shard's chunk.
-            assert_eq!(span.first_op as usize + warm, bounds[k].first_op as usize);
-            assert_eq!(span.ops - warm, bounds[k].ops);
-            // The span decodes: warm ops + measured ops stream out.
-            assert_eq!(run.trace.slice(&span).ops().count(), span.ops);
-            measured += span.ops - warm;
-        }
-        assert_eq!(measured, run.trace.len());
     }
 
     #[test]

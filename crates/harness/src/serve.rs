@@ -16,9 +16,8 @@
 //!    ([`crate::runner::parallel_map_labeled`], so the HUD and `pool.*`
 //!    metrics cover serve traffic too); each job runs the same
 //!    deterministic `run_micro` + `simulate` path as batch `repro` —
-//!    full-scale traces take the PR-9 sharded replay automatically —
-//!    and therefore produces byte-identical results to a batch run of
-//!    the same cell.
+//!    a whole-trace replay at every scale — and therefore produces
+//!    byte-identical results to a batch run of the same cell.
 //! 4. **Record**: a terminal `Completed` (with the run's `sim.result.*`
 //!    metrics) or `Failed` (with the error) event is appended durably,
 //!    then the spec file is removed. Crash-recovery follows from the
@@ -221,9 +220,8 @@ fn list_specs(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
 
 /// Runs one job spec through the same deterministic path batch `repro`
 /// uses — `run_micro` at the spec's scale, then `simulate` on the
-/// in-order core with the spec's translation design (full-scale traces
-/// shard across the worker pool automatically) — and returns the run's
-/// `sim.result.*` metrics.
+/// in-order core with the spec's translation design — and returns the
+/// run's `sim.result.*` metrics.
 ///
 /// # Errors
 ///

@@ -602,13 +602,9 @@ impl Trace {
 /// delta-decoder snapshot needed to decode that chunk independently of
 /// everything before it.
 ///
-/// Produced by [`Trace::chunk_bounds`]; consumed by [`Trace::slice`] (the
-/// sharded-replay work unit) and by `trace_io`'s chunked on-disk format
-/// (each chunk header persists one of these so a memory-mapped reader can
-/// decode any chunk without replaying the whole stream). The geometry is
-/// a pure function of the trace contents and the requested chunk size —
-/// never of worker count — which is what makes sharded replay
-/// deterministic.
+/// Produced by [`Trace::chunk_bounds`] for `trace_io`'s chunked on-disk
+/// format: each chunk header persists one of these, so a memory-mapped
+/// reader can decode any chunk without replaying the whole stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkBounds {
     /// Absolute [`OpId`] of the chunk's first op.
@@ -625,120 +621,15 @@ pub struct ChunkBounds {
     pub prev_oid: u64,
 }
 
-/// A borrowed, independently decodable view of one chunk of a [`Trace`]
-/// — the work unit of sharded replay.
-///
-/// [`TraceSlice::ops`] streams the chunk's ops with dependency edges
-/// **rebased** to the slice: an edge pointing before the slice start is
-/// reported as `None` (the producer completed in an earlier shard, so
-/// the consumer treats the address as ready at cycle zero), and an edge
-/// within the slice is renumbered relative to the slice's first op.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceSlice<'a> {
-    tags: &'a [u8],
-    data: &'a [u8],
-    first_op: OpId,
-    prev_va: u64,
-    prev_oid: u64,
-}
-
-impl<'a> TraceSlice<'a> {
-    /// Absolute [`OpId`] of the slice's first op.
-    pub fn first_op(&self) -> OpId {
-        self.first_op
-    }
-
-    /// Number of ops in the slice.
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Whether the slice contains no ops.
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
-    }
-
-    /// Streams the slice's ops with slice-relative dependency edges.
-    pub fn ops(&self) -> SliceOps<'a> {
-        SliceOps {
-            inner: Ops {
-                tags: self.tags,
-                data: self.data,
-                pos: 0,
-                off: 0,
-                state: DeltaState {
-                    prev_va: self.prev_va,
-                    prev_oid: self.prev_oid,
-                },
-            },
-            first_op: self.first_op,
-        }
-    }
-}
-
-/// Streaming decoder over a [`TraceSlice`] (see [`TraceSlice::ops`]).
-#[derive(Clone, Debug)]
-pub struct SliceOps<'a> {
-    inner: Ops<'a>,
-    first_op: OpId,
-}
-
-impl Iterator for SliceOps<'_> {
-    type Item = TraceOp;
-
-    fn next(&mut self) -> Option<TraceOp> {
-        // Decode against the *absolute* op id (backrefs are encoded
-        // against it), then rebase the edge into slice-local numbering.
-        let &tag = self.inner.tags.get(self.inner.pos)?;
-        let id = self.first_op + self.inner.pos as u64;
-        let op = self
-            .inner
-            .state
-            .decode(tag, self.inner.data, &mut self.inner.off, id)
-            // invariant: slices are cut from columns validated at
-            // construction, so every op decodes.
-            .expect("invariant: trace columns are validated at construction");
-        self.inner.pos += 1;
-        let rebase = |dep: Option<OpId>| dep.and_then(|d| d.checked_sub(self.first_op));
-        Some(match op {
-            TraceOp::Load { va, dep } => TraceOp::Load {
-                va,
-                dep: rebase(dep),
-            },
-            TraceOp::Store { va, dep } => TraceOp::Store {
-                va,
-                dep: rebase(dep),
-            },
-            TraceOp::NvLoad { oid, va, dep } => TraceOp::NvLoad {
-                oid,
-                va,
-                dep: rebase(dep),
-            },
-            TraceOp::NvStore { oid, va, dep } => TraceOp::NvStore {
-                oid,
-                va,
-                dep: rebase(dep),
-            },
-            other => other,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl ExactSizeIterator for SliceOps<'_> {}
-
 impl Trace {
     /// Splits the trace into chunk-aligned bounds of at most
     /// `ops_per_chunk` ops each (the last chunk may be shorter), in one
     /// streaming pass over the encoding.
     ///
     /// The result depends only on the trace contents and
-    /// `ops_per_chunk`, so shard geometry is stable across worker-pool
-    /// widths. An empty trace yields no chunks; `ops_per_chunk` is
-    /// clamped to at least 1.
+    /// `ops_per_chunk`, so a chunked file's layout is reproducible. An
+    /// empty trace yields no chunks; `ops_per_chunk` is clamped to at
+    /// least 1.
     pub fn chunk_bounds(&self, ops_per_chunk: usize) -> Vec<ChunkBounds> {
         let per = ops_per_chunk.max(1);
         let mut bounds = Vec::with_capacity(self.tags.len().div_ceil(per));
@@ -778,26 +669,6 @@ impl Trace {
             });
         }
         bounds
-    }
-
-    /// Borrows the slice of this trace described by `bounds`.
-    ///
-    /// `bounds` must come from [`Trace::chunk_bounds`] on this same
-    /// trace; mismatched bounds panic rather than decode garbage.
-    pub fn slice(&self, bounds: &ChunkBounds) -> TraceSlice<'_> {
-        let op_end = bounds.first_op as usize + bounds.ops;
-        let payload_end = bounds.payload_off + bounds.payload_len;
-        assert!(
-            op_end <= self.tags.len() && payload_end <= self.data.len(),
-            "chunk bounds do not belong to this trace"
-        );
-        TraceSlice {
-            tags: &self.tags[bounds.first_op as usize..op_end],
-            data: &self.data[bounds.payload_off..payload_end],
-            first_op: bounds.first_op,
-            prev_va: bounds.prev_va,
-            prev_oid: bounds.prev_oid,
-        }
     }
 }
 
@@ -1342,60 +1213,6 @@ mod tests {
             }
         }
         assert!(Trace::new().chunk_bounds(8).is_empty());
-    }
-
-    #[test]
-    fn slices_concatenate_to_the_full_stream_with_rebased_deps() {
-        let t = mixed_trace(150);
-        let whole: Vec<TraceOp> = t.ops().collect();
-        let bounds = t.chunk_bounds(37);
-        let mut at = 0usize;
-        for b in &bounds {
-            let slice = t.slice(b);
-            assert_eq!(slice.first_op(), b.first_op);
-            assert_eq!(slice.len(), b.ops);
-            for (i, got) in slice.ops().enumerate() {
-                let expect = whole[at + i];
-                // Kinds and operands match; deps are rebased.
-                match (got, expect) {
-                    (TraceOp::Load { va: gv, dep: gd }, TraceOp::Load { va: ev, dep: ed })
-                    | (TraceOp::Store { va: gv, dep: gd }, TraceOp::Store { va: ev, dep: ed }) => {
-                        assert_eq!(gv, ev);
-                        assert_eq!(gd, ed.and_then(|d| d.checked_sub(b.first_op)));
-                    }
-                    (
-                        TraceOp::NvLoad {
-                            oid: go,
-                            va: gv,
-                            dep: gd,
-                        },
-                        TraceOp::NvLoad {
-                            oid: eo,
-                            va: ev,
-                            dep: ed,
-                        },
-                    )
-                    | (
-                        TraceOp::NvStore {
-                            oid: go,
-                            va: gv,
-                            dep: gd,
-                        },
-                        TraceOp::NvStore {
-                            oid: eo,
-                            va: ev,
-                            dep: ed,
-                        },
-                    ) => {
-                        assert_eq!((go, gv), (eo, ev));
-                        assert_eq!(gd, ed.and_then(|d| d.checked_sub(b.first_op)));
-                    }
-                    (g, e) => assert_eq!(g, e),
-                }
-            }
-            at += b.ops;
-        }
-        assert_eq!(at, whole.len());
     }
 
     #[test]

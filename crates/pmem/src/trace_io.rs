@@ -45,8 +45,8 @@ const CHUNKED_HEADER_BYTES: usize = 8 + 8 + 8;
 /// Default ops per chunk for [`save_chunked`]: big enough that chunk
 /// headers are noise (< 0.01% of the file), small enough that lazy
 /// validation works through the file one bounded chunk at a time. File
-/// chunks do not size replay shards: sharded replay splits a trace at
-/// `SHARD_OPS` (poat-harness) however the file was chunked.
+/// chunks are a storage unit only: replay always covers the whole trace,
+/// however the file was chunked.
 pub const DEFAULT_CHUNK_OPS: usize = 1 << 20;
 
 /// Errors decoding a serialized trace.

@@ -112,30 +112,7 @@ pub fn simulate_inorder_ops(
     state: &MachineState,
     cfg: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    simulate_inorder_ops_impl(ops, 0, state, cfg, true)
-}
-
-/// [`simulate_inorder_ops`] with functional warmup: the first
-/// `warmup_ops` ops replay through the full model but are excluded from
-/// the returned counters (every counter is snapshotted at the boundary
-/// and the measured window reported as the advance since it —
-/// [`SimResult::delta_since`]).
-///
-/// This is how sharded replay keeps its microarchitectural state warm:
-/// a shard's stream is prefixed with the ops preceding it in the trace,
-/// so the measured window starts with caches/TLB/POLB in (approximately)
-/// the state whole-trace replay would have reached, instead of cold.
-///
-/// # Errors
-///
-/// Currently infallible; the `Result` mirrors [`crate::ooo::simulate_ooo`].
-pub fn simulate_inorder_ops_warm(
-    ops: impl IntoIterator<Item = TraceOp>,
-    warmup_ops: usize,
-    state: &MachineState,
-    cfg: &SimConfig,
-) -> Result<SimResult, SimError> {
-    simulate_inorder_ops_impl(ops, warmup_ops, state, cfg, true)
+    simulate_inorder_ops_impl(ops, state, cfg, true)
 }
 
 /// The actual model; `enable_batching` exists so the equivalence test can
@@ -143,7 +120,6 @@ pub fn simulate_inorder_ops_warm(
 /// bit-identical results — production callers always pass `true`.
 fn simulate_inorder_ops_impl(
     ops: impl IntoIterator<Item = TraceOp>,
-    warmup_ops: usize,
     state: &MachineState,
     cfg: &SimConfig,
     enable_batching: bool,
@@ -209,30 +185,7 @@ fn simulate_inorder_ops_impl(
         };
     }
 
-    // Warmup/measure boundary: after `warmup_ops` ops the counters are
-    // snapshotted (with any pending batch run flushed first, so the
-    // boundary falls between fully retired ops) and the measured window
-    // is reported as the advance past the snapshot.
-    let mut consumed: usize = 0;
-    let mut warm_snapshot: Option<SimResult> = None;
-    macro_rules! snapshot {
-        () => {
-            SimResult {
-                cycles,
-                instructions,
-                translation: xlate.stats(),
-                cache: hier.stats(),
-                tlb: tlb.stats(),
-                store_forwards: 0,
-            }
-        };
-    }
-
     loop {
-        if warmup_ops > 0 && consumed == warmup_ops && warm_snapshot.is_none() {
-            flush_run!();
-            warm_snapshot = Some(snapshot!());
-        }
         // One sampling decision per replayed op, shared by the decode pull
         // below and every hot scope in the body.
         let _op_prof = profile::begin_op();
@@ -242,7 +195,6 @@ fn simulate_inorder_ops_impl(
         }) else {
             break;
         };
-        consumed += 1;
         if batching {
             if let TraceOp::Load { va, dep: None } | TraceOp::Store { va, dep: None } = op {
                 let is_store = matches!(op, TraceOp::Store { .. });
@@ -373,13 +325,14 @@ fn simulate_inorder_ops_impl(
 
     // The scalar in-order pipe executes in program order; stores
     // complete before any later load issues, so forwarding never
-    // shortens a latency here (`store_forwards` stays 0 in `snapshot!`).
-    let total = snapshot!();
-    Ok(match warm_snapshot {
-        Some(at_boundary) => total.delta_since(&at_boundary),
-        // A warmup longer than the stream leaves nothing measured.
-        None if warmup_ops > 0 => total.delta_since(&total),
-        None => total,
+    // shortens a latency here (`store_forwards` stays 0).
+    Ok(SimResult {
+        cycles,
+        instructions,
+        translation: xlate.stats(),
+        cache: hier.stats(),
+        tlb: tlb.stats(),
+        store_forwards: 0,
     })
 }
 
@@ -604,33 +557,11 @@ mod tests {
             (&runs, &sw_state),
         ] {
             for cfg in [&cfg, &prefetch_cfg] {
-                let batched = simulate_inorder_ops_impl(trace.ops(), 0, state, cfg, true).unwrap();
-                let plain = simulate_inorder_ops_impl(trace.ops(), 0, state, cfg, false).unwrap();
+                let batched = simulate_inorder_ops_impl(trace.ops(), state, cfg, true).unwrap();
+                let plain = simulate_inorder_ops_impl(trace.ops(), state, cfg, false).unwrap();
                 assert_eq!(batched, plain, "batching changed the model");
             }
         }
-    }
-
-    #[test]
-    fn warm_replay_equals_whole_minus_prefix() {
-        // The in-order core is a pure fold over ops, so replaying the
-        // whole trace with a warmup snapshot at op k must equal the
-        // whole-trace counters minus a standalone replay of ops[..k] —
-        // the identity `delta_since` relies on.
-        let (trace, state) = tiny_workload(TranslationMode::Hardware);
-        let ops: Vec<TraceOp> = trace.ops().collect();
-        let cfg = SimConfig::default();
-        let k = ops.len() / 3;
-        let whole = simulate_inorder_ops(ops.iter().copied(), &state, &cfg).unwrap();
-        let prefix = simulate_inorder_ops(ops[..k].iter().copied(), &state, &cfg).unwrap();
-        let warm = simulate_inorder_ops_warm(ops.iter().copied(), k, &state, &cfg).unwrap();
-        assert_eq!(warm, whole.delta_since(&prefix));
-        // Zero warmup is the plain replay; all-warmup measures nothing.
-        let unwarmed = simulate_inorder_ops_warm(ops.iter().copied(), 0, &state, &cfg).unwrap();
-        assert_eq!(unwarmed, whole);
-        let empty =
-            simulate_inorder_ops_warm(ops.iter().copied(), ops.len(), &state, &cfg).unwrap();
-        assert_eq!(empty, SimResult::default());
     }
 
     #[test]

@@ -49,6 +49,6 @@ pub mod tlb;
 pub mod xlate;
 
 pub use config::{CoreConfig, MemoryConfig, SimConfig};
-pub use inorder::{simulate_inorder, simulate_inorder_ops, simulate_inorder_ops_warm};
-pub use ooo::{simulate_ooo, simulate_ooo_ops, simulate_ooo_ops_warm};
+pub use inorder::{simulate_inorder, simulate_inorder_ops};
+pub use ooo::{simulate_ooo, simulate_ooo_ops};
 pub use result::{SimError, SimResult};

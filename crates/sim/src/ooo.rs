@@ -66,26 +66,6 @@ pub fn simulate_ooo_ops(
     state: &MachineState,
     cfg: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    simulate_ooo_ops_warm(ops, 0, state, cfg)
-}
-
-/// [`simulate_ooo_ops`] with functional warmup: the first `warmup_ops`
-/// ops replay through the full model but are excluded from the returned
-/// counters (snapshotted at the boundary, measured window reported as
-/// the advance since it — [`SimResult::delta_since`]; `cycles` is the
-/// retire-clock advance during the measured window). See
-/// `simulate_inorder_ops_warm` for how sharded replay uses this.
-///
-/// # Errors
-///
-/// [`SimError::ParallelOnOutOfOrder`] if the translation configuration
-/// selects the Parallel POLB design (unsupported by construction).
-pub fn simulate_ooo_ops_warm(
-    ops: impl IntoIterator<Item = TraceOp>,
-    warmup_ops: usize,
-    state: &MachineState,
-    cfg: &SimConfig,
-) -> Result<SimResult, SimError> {
     if cfg.translation.design == PolbDesign::Parallel {
         return Err(SimError::ParallelOnOutOfOrder);
     }
@@ -122,28 +102,7 @@ pub fn simulate_ooo_ops_warm(
     let mut last_mem_complete: u64 = 0;
     let mut instructions: u64 = 0;
 
-    // Warmup/measure boundary (see `simulate_inorder_ops_warm`): the
-    // counters are snapshotted after `warmup_ops` ops and the measured
-    // window reported as the advance past the snapshot.
-    let mut consumed: usize = 0;
-    let mut warm_snapshot: Option<SimResult> = None;
-    macro_rules! snapshot {
-        () => {
-            SimResult {
-                cycles: last_retire,
-                instructions,
-                translation: xlate.stats(),
-                cache: hier.stats(),
-                tlb: tlb.stats(),
-                store_forwards: forwarded,
-            }
-        };
-    }
-
     loop {
-        if warmup_ops > 0 && consumed == warmup_ops && warm_snapshot.is_none() {
-            warm_snapshot = Some(snapshot!());
-        }
         // One sampling decision per replayed op, shared by the decode pull
         // below and every hot scope in the body.
         let _op_prof = profile::begin_op();
@@ -153,7 +112,6 @@ pub fn simulate_ooo_ops_warm(
         }) else {
             break;
         };
-        consumed += 1;
         let k = op.instructions();
         instructions += k;
         // An Exec batch can exceed the ROB; it streams through, so its ROB
@@ -344,12 +302,13 @@ pub fn simulate_ooo_ops_warm(
         }
     }
 
-    let total = snapshot!();
-    Ok(match warm_snapshot {
-        Some(at_boundary) => total.delta_since(&at_boundary),
-        // A warmup longer than the stream leaves nothing measured.
-        None if warmup_ops > 0 => total.delta_since(&total),
-        None => total,
+    Ok(SimResult {
+        cycles: last_retire,
+        instructions,
+        translation: xlate.stats(),
+        cache: hier.stats(),
+        tlb: tlb.stats(),
+        store_forwards: forwarded,
     })
 }
 
@@ -648,36 +607,5 @@ mod tests {
             overhead < 2.0,
             "POLB-hit overhead should be modest: {overhead}"
         );
-    }
-
-    #[test]
-    fn warm_replay_measures_a_strict_window() {
-        // Unlike the in-order fold, the OoO pipeline is not drained at
-        // the warmup boundary, so warm ≠ whole − standalone-prefix in
-        // general; pin the invariants that do hold: zero warmup is the
-        // plain replay, all-warmup measures nothing, and a warmed run
-        // reports strictly less than the whole trace.
-        let mut rt = Runtime::new(RuntimeConfig::default());
-        let pool = rt.pool_create("p", 1 << 16).unwrap();
-        let oid = rt.pmalloc(pool, 256).unwrap();
-        rt.take_trace();
-        for i in 0..200u32 {
-            let r = rt.deref(oid, None).unwrap();
-            rt.write_u64_at(&r, (i % 32) * 8, i as u64).unwrap();
-            let _ = rt.read_u64_at(&r, (i % 32) * 8).unwrap();
-            rt.exec(3);
-        }
-        let trace = rt.take_trace();
-        let state = rt.machine_state();
-        let ops: Vec<TraceOp> = trace.ops().collect();
-        let cfg = SimConfig::default();
-        let whole = simulate_ooo_ops(ops.iter().copied(), &state, &cfg).unwrap();
-        let unwarmed = simulate_ooo_ops_warm(ops.iter().copied(), 0, &state, &cfg).unwrap();
-        assert_eq!(unwarmed, whole);
-        let empty = simulate_ooo_ops_warm(ops.iter().copied(), ops.len(), &state, &cfg).unwrap();
-        assert_eq!(empty, SimResult::default());
-        let warm = simulate_ooo_ops_warm(ops.iter().copied(), ops.len() / 2, &state, &cfg).unwrap();
-        assert!(warm.cycles > 0 && warm.cycles < whole.cycles);
-        assert!(warm.instructions < whole.instructions);
     }
 }
