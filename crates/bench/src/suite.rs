@@ -20,7 +20,8 @@ use rand::{Rng, SeedableRng};
 
 use poat_core::polb::{ParallelPolb, PipelinedPolb, TranslationBuffer};
 use poat_core::{ObjectId, PoolId, Pot, VirtAddr};
-use poat_harness::experiments;
+use poat_harness::artifact::first_difference;
+use poat_harness::experiments::{self, MainResults};
 use poat_harness::Scale;
 use poat_pmem::{Runtime, RuntimeConfig, Trace, TraceOp};
 use poat_sim::cache::MemoryHierarchy;
@@ -46,14 +47,33 @@ pub const FIG9_QUICK_BUDGET: Duration = Duration::from_secs(30);
 /// therefore **opt-in** via [`FULL_BUDGET_ENV`] rather than part of
 /// every `bench-run`: CI stays fast by default, and a release run
 /// exports the flag to pin the full-matrix cost (docs/BENCHMARKS.md).
-/// Sized from a measured ~45 s on the 1-core baseline host (sharded
-/// replay with one-chunk warmup) with generous structural headroom.
+/// Sized from a measured ~45 s on the 1-core baseline host with
+/// generous structural headroom.
 pub const FIG9_FULL_BUDGET: Duration = Duration::from_secs(1800);
 
 /// Environment variable that opts the full-scale matrix budget into a
 /// bench run (any non-empty value other than `0`). Checked at
 /// registration time by [`register`].
 pub const FULL_BUDGET_ENV: &str = "POAT_BENCH_FULL_BUDGET";
+
+/// The committed full-scale artifact (`repro all --json
+/// results_full.json`) whose `"main"` entry the full budget pass checks.
+pub const FULL_RESULTS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results_full.json");
+
+/// Where a freshly computed full-scale main matrix first differs from
+/// the `"main"` entry of the committed results file `committed` (its
+/// JSON text), or `None` when every row matches.
+pub fn full_results_mismatch(main: &MainResults, committed: &str) -> Option<String> {
+    let committed: serde_json::Value = match serde_json::from_str(committed) {
+        Ok(v) => v,
+        Err(e) => return Some(format!("it does not parse: {e}")),
+    };
+    let Some(committed_main) = committed.get("main") else {
+        return Some("it has no \"main\" entry".to_string());
+    };
+    let fresh = serde_json::to_value(main).expect("MainResults serializes");
+    first_difference(committed_main, &fresh).map(|d| format!("main.{d}"))
+}
 
 /// Whether the [`FULL_BUDGET_ENV`] opt-in is active for this process.
 pub fn full_budget_requested() -> bool {
@@ -402,6 +422,12 @@ fn analyzer_benches(r: &mut Runner) {
 
 /// Registers every benchmark in the suite, plus (optionally) the
 /// Figure-9 quick-matrix wall-clock budget check.
+///
+/// # Panics
+///
+/// When the opt-in full-scale pass computes a main matrix that differs
+/// from the committed `results_full.json`, naming the first row that
+/// differs: a stale full-scale artifact fails the run.
 pub fn register(r: &mut Runner, include_budget: bool) {
     translation_benches(r);
     memory_benches(r);
@@ -415,7 +441,15 @@ pub fn register(r: &mut Runner, include_budget: bool) {
         });
         if full_budget_requested() {
             r.budget("fig9_full_matrix", FIG9_FULL_BUDGET, || {
-                std::hint::black_box(experiments::main_matrix(Scale::Full));
+                let main = experiments::main_matrix(Scale::Full);
+                let committed = std::fs::read_to_string(FULL_RESULTS_PATH)
+                    .unwrap_or_else(|e| panic!("reading {FULL_RESULTS_PATH}: {e}"));
+                if let Some(diff) = full_results_mismatch(&main, &committed) {
+                    panic!(
+                        "results_full.json is stale: {diff}; regenerate it with \
+                         `repro all --csv results_csv --json results_full.json`"
+                    );
+                }
             });
         }
     }
@@ -490,6 +524,37 @@ mod tests {
         );
         // Deterministic: same seed, same bytes.
         assert_eq!(t, encode(&canned_ops(4096, 0xBEEF)));
+    }
+
+    #[test]
+    fn full_results_mismatch_names_the_first_differing_row() {
+        let row = |bench: &str, pattern: &str, pipelined| experiments::SpeedupRow {
+            bench: bench.to_string(),
+            pattern: pattern.to_string(),
+            pipelined,
+            parallel: Some(1.25),
+            ideal: 3.0,
+        };
+        let main = |bst_random| MainResults {
+            fig9a: vec![row("LL", "ALL", 1.5), row("BST", "RANDOM", bst_random)],
+            fig9b: Vec::new(),
+            table8: Vec::new(),
+            instrs: Vec::new(),
+        };
+        let committed = {
+            let mut top = std::collections::BTreeMap::new();
+            top.insert("main", serde_json::to_value(&main(2.3)).unwrap());
+            serde_json::to_string_pretty(&top).unwrap()
+        };
+        assert_eq!(full_results_mismatch(&main(2.3), &committed), None);
+        assert_eq!(
+            full_results_mismatch(&main(2.24), &committed).as_deref(),
+            Some("main.fig9a[1 BST/RANDOM].pipelined: committed 2.3, fresh 2.24")
+        );
+        assert_eq!(
+            full_results_mismatch(&main(2.3), "{}").as_deref(),
+            Some("it has no \"main\" entry")
+        );
     }
 
     #[test]

@@ -133,7 +133,8 @@ if [[ -n "${POAT_BENCH_FULL_BUDGET:-}" && "${POAT_BENCH_FULL_BUDGET}" != 0 ]]; t
   # (budget/fig9_full_matrix, docs/BENCHMARKS.md). Minutes of runtime,
   # so it only runs when a caller exports POAT_BENCH_FULL_BUDGET=1 —
   # default CI stays fast. --filter skips the sampled microbenchmarks;
-  # the budget check alone exercises the sharded full-scale replay path.
+  # the budget pass also fails when results_full.json no longer matches
+  # the full-scale main matrix the current tree computes.
   POAT_BENCH_FULL_BUDGET="$POAT_BENCH_FULL_BUDGET" \
     cargo run --release -p poat-bench --bin bench-run --locked --offline -- \
     --mode smoke --filter fig9_full_matrix --out "$trace_dir/bench_full.json"
