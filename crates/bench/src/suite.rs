@@ -58,12 +58,12 @@ pub const FULL_BUDGET_ENV: &str = "POAT_BENCH_FULL_BUDGET";
 
 /// The committed full-scale artifact (`repro all --json
 /// results_full.json`) whose `"main"` entry the full budget pass checks.
-pub const FULL_RESULTS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results_full.json");
+const FULL_RESULTS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results_full.json");
 
 /// Where a freshly computed full-scale main matrix first differs from
 /// the `"main"` entry of the committed results file `committed` (its
 /// JSON text), or `None` when every row matches.
-pub fn full_results_mismatch(main: &MainResults, committed: &str) -> Option<String> {
+fn full_results_mismatch(main: &MainResults, committed: &str) -> Option<String> {
     let committed: serde_json::Value = match serde_json::from_str(committed) {
         Ok(v) => v,
         Err(e) => return Some(format!("it does not parse: {e}")),

@@ -453,10 +453,9 @@ mod tests {
         });
     }
 
-    /// A synthetic run longer than the 2^19 ops from which earlier
-    /// releases sharded the replay: a plain load/store/exec mix over a
-    /// spread of pages, wrapped around the machine state of a real
-    /// (quick) run.
+    /// A synthetic run longer than [`SHARD_OPS`]: a plain load/store/exec
+    /// mix over a spread of pages, wrapped around the machine state of a
+    /// real (quick) run.
     fn big_synthetic_run() -> WorkloadRun {
         use poat_core::VirtAddr;
         use poat_pmem::TraceOp;
@@ -477,8 +476,8 @@ mod tests {
                 }),
                 _ => trace.push(TraceOp::Load {
                     va,
-                    // A backref up to 100 000 ops back, which regularly
-                    // crosses the old 2^19-op shard boundary.
+                    // A backref up to 100 000 ops back, across the
+                    // `SHARD_OPS` boundary as well.
                     dep: Some(i.saturating_sub(x % 100_000)),
                 }),
             };
