@@ -288,9 +288,10 @@ impl Rule for UnsafeWithoutSafety {
 pub struct UnwrapInHotPath;
 
 /// The hot-path scope: the whole simulator plus the POLB/POT hardware
-/// models and the software-translation path — and the durable-log
-/// decode paths (codec, both payload records, the frame scan), which
-/// read external files and must fail with typed errors.
+/// models and the software-translation path — and the code that reads
+/// external input and must fail with typed errors: the durable-log
+/// decode paths (codec, both payload records, the frame scan), the
+/// `repro` CLI and the serve spool.
 fn hot_path(path: &str) -> bool {
     path.starts_with("crates/sim/src/")
         || [
@@ -301,6 +302,8 @@ fn hot_path(path: &str) -> bool {
             "crates/ledger/src/record.rs",
             "crates/ledger/src/catalog/record.rs",
             "crates/ledger/src/lib.rs",
+            "crates/harness/src/main.rs",
+            "crates/harness/src/serve.rs",
         ]
         .contains(&path)
 }
@@ -313,13 +316,14 @@ impl Rule for UnwrapInHotPath {
         Severity::Error
     }
     fn description(&self) -> &'static str {
-        "unwrap()/expect()/panic! in hot-path library code (sim, core::polb, core::pot, pmem::translate) and durable-log decoders"
+        "unwrap()/expect()/panic! in hot-path library code (sim, core::polb, core::pot, pmem::translate), durable-log decoders, the repro CLI and the serve spool"
     }
     fn rationale(&self) -> &'static str {
         "The hot path (simulator loop, POLB/POT hardware models, software translation) \
          executes per memory access; a panic there aborts a multi-minute run and loses \
-         the telemetry that would explain it. The durable-log decoders read external \
-         files, where a crafted byte must be a typed error. Errors must propagate as values. \
+         the telemetry that would explain it. The durable-log decoders, the repro CLI and \
+         the serve spool read external input, where a crafted byte or a bad path must be \
+         a typed error. Errors must propagate as values. \
          `expect(\"invariant: ...\")` is exempt because it documents a structural \
          invariant whose violation is a bug, not an error path."
     }

@@ -43,6 +43,8 @@ const PMEM_RT: &str = "crates/pmem/src/runtime.rs";
 const CORE: &str = "crates/core/src/fixture.rs";
 const EVENTS: &str = "crates/telemetry/src/events.rs";
 const CODEC: &str = "crates/ledger/src/codec.rs";
+const CLI: &str = "crates/harness/src/main.rs";
+const SPOOL: &str = "crates/harness/src/serve.rs";
 const METRICS: &str = "docs/METRICS.md";
 
 const CASES: &[Case] = &[
@@ -109,6 +111,12 @@ const CASES: &[Case] = &[
         rule: "unwrap-in-hot-path",
         files: &[(CODEC, R3_BAD)],
         expected: &[(CODEC, 3, "unwrap"), (CODEC, 4, "expect")],
+    },
+    Case {
+        name: "r3-cli",
+        rule: "unwrap-in-hot-path",
+        files: &[(CLI, R3_BAD), (SPOOL, R3_OK)],
+        expected: &[(CLI, 3, "unwrap"), (CLI, 4, "expect")],
     },
     Case {
         name: "r3-out-of-scope",

@@ -8,9 +8,9 @@
 //! on. Both writes go through a temp-file + rename so a crash mid-write
 //! can never leave a torn JSON file at either name — rename within a
 //! directory is atomic on POSIX. The versioned copy is the durable
-//! record: a failure writing it panics, while a failure refreshing the
-//! latest copy only warns (the data is already safe under the versioned
-//! name).
+//! record: a failure writing it is an error, while a failure refreshing
+//! the latest copy only warns (the data is already safe under the
+//! versioned name).
 
 use std::io::Write;
 use std::path::Path;
@@ -62,30 +62,36 @@ pub fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
 }
 
 /// Writes an output artifact under its run-id name (when the run was
-/// ledgered) plus the plain "latest" name scripts rely on. The
-/// versioned write must succeed (panic otherwise); a failure refreshing
-/// the latest copy degrades to a warning, because the versioned copy is
-/// already durable.
+/// ledgered) plus the plain "latest" name scripts rely on. A failure
+/// refreshing the latest copy degrades to a warning, because the
+/// versioned copy is already durable.
 ///
-/// # Panics
+/// # Errors
 ///
-/// When the primary (versioned, or plain if unledgered) write fails.
-pub fn write_artifact(what: &str, path: &str, run_id: Option<&str>, contents: &str) {
-    if let Some(id) = run_id {
-        let versioned = with_run_id(path, id);
-        write_atomic(&versioned, contents).unwrap_or_else(|e| panic!("writing {versioned}: {e}"));
-        match write_atomic(path, contents) {
-            Ok(()) => notify::emit(&format!(
-                "{what} written to {versioned} (latest copy: {path})"
-            )),
-            Err(e) => notify::emit(&format!(
-                "{what} written to {versioned}; warning: refreshing latest copy {path} failed: {e}"
-            )),
-        }
-    } else {
-        write_atomic(path, contents).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+/// The primary (versioned, or plain if unledgered) write's failure, as
+/// `writing PATH: <os error>`.
+pub fn write_artifact(
+    what: &str,
+    path: &str,
+    run_id: Option<&str>,
+    contents: &str,
+) -> std::io::Result<()> {
+    let primary = run_id.map_or_else(|| path.to_string(), |id| with_run_id(path, id));
+    write_atomic(&primary, contents)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("writing {primary}: {e}")))?;
+    if run_id.is_none() {
         notify::emit(&format!("{what} written to {path}"));
+        return Ok(());
     }
+    match write_atomic(path, contents) {
+        Ok(()) => notify::emit(&format!(
+            "{what} written to {primary} (latest copy: {path})"
+        )),
+        Err(e) => notify::emit(&format!(
+            "{what} written to {primary}; warning: refreshing latest copy {path} failed: {e}"
+        )),
+    }
+    Ok(())
 }
 
 /// The first place a fresh artifact differs from its committed copy, as
@@ -261,10 +267,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("poat_artifact_lat_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         // The "latest" path is a directory: rename over it fails, but the
-        // versioned write already happened, so this must not panic.
+        // versioned write already happened, so this must succeed.
         let latest = dir.join("results.json");
         std::fs::create_dir_all(&latest).unwrap();
-        write_artifact("results", latest.to_str().unwrap(), Some("run000009"), "{}");
+        write_artifact("results", latest.to_str().unwrap(), Some("run000009"), "{}").unwrap();
         let versioned = dir.join("results-run000009.json");
         assert_eq!(std::fs::read_to_string(&versioned).unwrap(), "{}");
         std::fs::remove_dir_all(&dir).unwrap();

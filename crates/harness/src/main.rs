@@ -1,27 +1,18 @@
 // SPDX-License-Identifier: MIT OR Apache-2.0
 //! `repro` — regenerate the MICRO'17 tables and figures.
 //!
-//! ```text
-//! repro <artifact> [--quick] [--workers N] [--json PATH] [--csv DIR]
-//!                  [--metrics PATH] [--trace PATH] [--trace-sample N]
-//!                  [--timeline DIR] [--profile] [--flame PATH]
-//!                  [--hud SECS] [--ledger PATH] [--no-ledger]
-//! repro report [--ledger PATH] [--last N] [--metric NAME] [--diff A:B]
-//!
-//! artifacts: table2 | fig9a | fig9b | table8 | instrs | fig10
-//!            | fig11 | table9 | fig12 | ablations | seeds | all
-//! ```
-//!
-//! `--metrics PATH` writes the full telemetry snapshot (every counter,
-//! gauge and histogram accumulated during the run, plus a run manifest)
-//! as versioned JSON — see `docs/METRICS.md` for the schema. `--trace`
-//! and `--timeline` enable event-level tracing — see `docs/TRACING.md`.
-//! Every run also appends one record to the durable run ledger
-//! (`repro report` queries it), `--profile`/`--flame` drive the
-//! span-tree profiler, and `--hud` the worker-pool HUD — see
-//! `docs/OBSERVABILITY.md`.
+//! `repro --help` lists every artifact, subcommand and flag; it is
+//! generated from the [`CMDS`] table, which also drives the one
+//! argument parser ([`parse`]). The `--metrics` snapshot schema is in
+//! `docs/METRICS.md`, `--trace`/`--timeline` in `docs/TRACING.md`, and
+//! the run ledger (`repro report`), the profiler, the HUD and serve mode
+//! in `docs/OBSERVABILITY.md`.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 use poat_harness::artifact::write_artifact;
@@ -30,144 +21,289 @@ use poat_harness::experiments::{
     table8_text, table9_text,
 };
 use poat_harness::report::TextTable;
-use poat_harness::Scale;
-use poat_harness::{ablations, csv, jobs, serve, timeline};
-use poat_telemetry::events;
-
-const USAGE: &str = "usage: repro <table2|fig9a|fig9b|table8|instrs|fig10|fig11|table9|fig12|ablations|seeds|all> \
-[--quick] [--workers N] [--json PATH] [--csv DIR] [--metrics PATH] [--trace PATH] [--trace-sample N] [--timeline DIR] \
-[--profile] [--flame PATH] [--hud SECS] [--ledger PATH] [--no-ledger]\n       \
-repro report [--ledger PATH] [--last N] [--metric NAME] [--command FILTER] [--diff A:B]\n       \
-repro crash-sweep [--scale quick|full] [--workload BENCH:PATTERN] [--inject clean|torn|drop-clwb|all] \
-[--max-points N] [--replay POINT:SEED] [--metrics PATH] [--trace PATH] [--trace-sample N] \
-[--ledger PATH] [--no-ledger]\n       \
-repro trace-roundtrip [--scale quick|full] [--workload BENCH:PATTERN] [--dir DIR]\n       \
-repro serve [--spool DIR] [--catalog PATH] [--poll-ms N] [--drain] [--idle-exit SECS] [--workers N]\n       \
-repro submit WORKLOAD DESIGN SCALE [--spool DIR]\n       \
-repro jobs [--spool DIR] [--catalog PATH]\n       \
-repro catalog query [--catalog PATH] [--workload W] [--design D] [--scale S] [--status S] [--metric NAME]";
+use poat_harness::{ablations, crash_sweep, csv, jobs, runner, serve, timeline, Scale};
+use poat_telemetry::{events, MetricsSnapshot};
 
 /// Where runs land unless `--ledger`/`--no-ledger` says otherwise.
 const DEFAULT_LEDGER: &str = ".poat/ledger.poatlgr";
-/// Where `repro serve`/`submit`/`jobs` spool job specs by default.
-const DEFAULT_SPOOL: &str = ".poat/spool";
-/// Where the serve-mode run catalog lives by default.
-const DEFAULT_CATALOG: &str = ".poat/catalog.poatcat";
 
-fn usage() -> ! {
-    eprintln!("{USAGE}");
-    std::process::exit(2);
+/// Every artifact `repro ARTIFACT` regenerates, with its help line.
+const ARTIFACTS: &[(&str, &str)] = &[
+    ("table2", "oid_direct instruction counts, predictor misses"),
+    ("fig9a", "in-order speedups (Pipelined, Parallel, ideal)"),
+    ("fig9b", "out-of-order speedups (Pipelined, ideal)"),
+    ("table8", "POLB miss rates"),
+    ("instrs", "dynamic-instruction reduction"),
+    ("fig10", "_NTX speedups (durability overhead removed)"),
+    ("fig11", "POLB-size sensitivity"),
+    ("table9", "POLB miss rates across sizes"),
+    ("fig12", "POT-walk-penalty sensitivity"),
+    ("ablations", "design-choice studies"),
+    ("seeds", "seed-sensitivity study"),
+    ("all", "everything above"),
+];
+
+/// One subcommand: its invocation (the word that selects it, then any
+/// operands), a one-line summary, and its flags as (`"--name VALUE"`,
+/// help) pairs — a flag written with a VALUE takes one.
+struct Cmd {
+    head: &'static str,
+    about: &'static str,
+    flags: &'static [(&'static str, &'static str)],
 }
 
-fn help() -> ! {
-    println!(
-        "{USAGE}\n\n\
-         Regenerates the paper's tables and figures (docs/EXPERIMENTS.md).\n\n\
-         artifacts:\n  \
-         table2     oid_direct instruction counts & predictor miss rate\n  \
-         fig9a      in-order OPT/BASE speedups (Pipelined, Parallel, ideal)\n  \
-         fig9b      out-of-order speedups (Pipelined, ideal)\n  \
-         table8     POLB miss rates\n  \
-         instrs     dynamic-instruction reduction\n  \
-         fig10      _NTX speedups (durability overhead removed)\n  \
-         fig11      POLB-size sensitivity\n  \
-         table9     POLB miss rates across sizes\n  \
-         fig12      POT-walk-penalty sensitivity\n  \
-         ablations  design-choice studies\n  \
-         seeds      seed-sensitivity study\n  \
-         all        everything above\n\n\
-         crash-sweep (EXPERIMENTS.md):\n  \
-         crashes each workload at every persist boundary, recovers, and\n  \
-         verifies the recovery invariants; non-zero exit on any violation.\n  \
-         --scale quick|full       workload sizing (default: quick)\n  \
-         --workload BENCH:PATTERN sweep one workload only (e.g. LL:ALL)\n  \
-         --inject MODE            clean | torn | drop-clwb | all\n                           \
-         (default: clean+torn; drop-clwb is the negative control)\n  \
-         --max-points N           evenly-spaced sample of N points per workload\n  \
-         --replay POINT:SEED      re-execute one crash point deterministically\n                           \
-         (requires --workload; combine with --trace)\n\n\
-         report (docs/OBSERVABILITY.md):\n  \
-         queries the durable run ledger; every repro/bench run appends\n  \
-         one record (manifest, counters, gauges, histogram summaries).\n  \
-         --ledger PATH            ledger file (default: .poat/ledger.poatlgr)\n  \
-         --last N                 only the newest N records\n  \
-         --command FILTER         only records whose command contains FILTER\n  \
-         --metric NAME            print NAME per record (histograms as\n                           \
-         name:p50/p90/p99/mean/count/sum/max) and\n                           \
-         the delta between the two newest records\n  \
-         --diff A:B               diff two records (run ids or seq numbers)\n\n\
-         trace-roundtrip:\n  \
-         records workload traces, saves each as a chunked POATTRC3 file,\n  \
-         maps it back, and replays both copies on both core models;\n  \
-         non-zero exit if any SimResult differs or the encoding exceeds\n  \
-         its bytes-per-op budget.\n  \
-         --scale quick|full       workload sizing (default: quick)\n  \
-         --workload BENCH:PATTERN check one workload only (default: a spread)\n  \
-         --dir DIR                where to write the .poattrc files\n                           \
-         (default: a temp directory, removed afterwards)\n\n\
-         serve mode (docs/OBSERVABILITY.md):\n  \
-         serve    watch the spool, execute submitted jobs on the worker\n           \
-         pool, and record every lifecycle event in the durable\n           \
-         run catalog (POATCAT1; survives restarts and crashes)\n  \
-         submit   enqueue one run: WORKLOAD (BENCH:PATTERN, e.g. LL:ALL),\n           \
-         DESIGN (pipelined|parallel|ideal), SCALE (quick|full)\n  \
-         jobs     spool depth + every catalog job + a summary line\n  \
-         catalog query  filter historical jobs; --metric NAME projects\n           \
-         one sim.result.* value per job\n  \
-         --spool DIR              job spool (default: .poat/spool)\n  \
-         --catalog PATH           catalog file (default: .poat/catalog.poatcat)\n  \
-         --poll-ms N              idle poll interval (default: 200)\n  \
-         --drain                  exit once the spool is empty\n  \
-         --idle-exit SECS         exit after SECS without new work\n  \
-         --workload/--design/--scale/--status  query filters (exact match)\n\n\
-         options:\n  \
-         --quick            ~10x smaller workloads (smoke-test scale)\n  \
-         --workers N        worker-pool width: how many experiment cells run\n                     \
-         at once (default: host cores, capped at 24;\n                     \
-         results are identical at any width)\n  \
-         --json PATH        write every artifact's rows as JSON\n  \
-         --csv DIR          write per-artifact CSV files into DIR\n  \
-         --metrics PATH     write the telemetry snapshot (docs/METRICS.md)\n  \
-         --trace PATH       record translation events; write a Chrome Trace\n                     \
-         Format JSON (load in Perfetto; docs/TRACING.md)\n  \
-         --trace-sample N   trace every Nth access only (default: all)\n  \
-         --timeline DIR     per-workload windowed timelines as CSV into DIR\n  \
-         --profile          span-tree profiler: per-phase self-time table\n                     \
-         (sampled per --trace-sample; docs/OBSERVABILITY.md)\n  \
-         --flame PATH       write a collapsed-stack flamegraph (inferno\n                     \
-         format; implies --profile)\n  \
-         --hud SECS         live worker-pool HUD: a progress line every\n                     \
-         SECS seconds plus the stall watchdog\n  \
-         --ledger PATH      append this run's record to the ledger at PATH\n                     \
-         (default: .poat/ledger.poatlgr; see `repro report`)\n  \
-         --no-ledger        skip the ledger append\n  \
-         -h, --help         this help"
+/// Every subcommand. The first runs the artifact its first argument
+/// names (one of [`ARTIFACTS`]).
+const CMDS: &[Cmd] = &[
+    Cmd {
+        head: "ARTIFACT",
+        about: "regenerate one artifact, or all of them (docs/EXPERIMENTS.md)",
+        flags: &[
+            ("--quick", "~10x smaller workloads (smoke-test scale)"),
+            ("--workers N", "worker-pool width (default: cores, max 24)"),
+            ("--json PATH", "write every artifact's rows as JSON"),
+            ("--csv DIR", "write per-artifact CSV files into DIR"),
+            ("--metrics PATH", "the telemetry snapshot (docs/METRICS.md)"),
+            ("--trace PATH", "write translation events as a Chrome trace"),
+            ("--trace-sample N", "trace/profile every Nth access only"),
+            ("--timeline DIR", "per-workload timeline CSVs into DIR"),
+            ("--profile", "print the span-tree profile's self times"),
+            ("--flame PATH", "write a flamegraph (implies --profile)"),
+            ("--hud SECS", "print pool progress every SECS seconds"),
+            ("--ledger PATH", "ledger (default: .poat/ledger.poatlgr)"),
+            ("--no-ledger", "skip the ledger append"),
+        ],
+    },
+    Cmd {
+        head: "report",
+        about: "list, filter and diff the run ledger (docs/OBSERVABILITY.md)",
+        flags: &[
+            ("--ledger PATH", "ledger (default: .poat/ledger.poatlgr)"),
+            ("--last N", "only the newest N records"),
+            ("--metric NAME", "NAME per record, with the last delta"),
+            ("--command FILTER", "only commands containing FILTER"),
+            ("--diff A:B", "diff records A and B (run id or sequence)"),
+        ],
+    },
+    Cmd {
+        head: "crash-sweep",
+        about: "crash each workload at every persist boundary; verify recovery",
+        flags: &[
+            ("--quick", "same as --scale quick"),
+            ("--scale quick|full", "workload sizing (default: quick)"),
+            ("--workload BENCH:PATTERN", "one workload only, e.g. LL:ALL"),
+            ("--inject clean|torn|drop-clwb|all", "default: clean+torn"),
+            ("--max-points N", "N evenly spaced points per workload"),
+            ("--replay POINT:SEED", "rerun one crash point of --workload"),
+            ("--trace PATH", "write translation events as a Chrome trace"),
+            ("--trace-sample N", "trace every Nth access only"),
+            ("--metrics PATH", "the telemetry snapshot (docs/METRICS.md)"),
+            ("--ledger PATH", "ledger (default: .poat/ledger.poatlgr)"),
+            ("--no-ledger", "skip the ledger append"),
+        ],
+    },
+    Cmd {
+        head: "trace-roundtrip",
+        about: "save, map and replay traces; fail on a SimResult change or >12 B/op",
+        flags: &[
+            ("--quick", "same as --scale quick"),
+            ("--scale quick|full", "workload sizing (default: quick)"),
+            ("--workload BENCH:PATTERN", "check one workload only"),
+            ("--dir DIR", "keep the trace files in DIR"),
+        ],
+    },
+    Cmd {
+        head: "serve",
+        about: "run spooled jobs on the worker pool, recording each in the catalog",
+        flags: &[
+            ("--spool DIR", "job spool (default: .poat/spool)"),
+            ("--catalog PATH", "catalog (default: .poat/catalog.poatcat)"),
+            ("--poll-ms N", "idle poll interval (default: 200)"),
+            ("--drain", "exit once the spool is empty"),
+            ("--idle-exit SECS", "exit after SECS without new work"),
+            ("--workers N", "worker-pool width (default: cores, max 24)"),
+        ],
+    },
+    Cmd {
+        head: "submit WORKLOAD DESIGN SCALE",
+        about: "enqueue one run, e.g. `LL:ALL pipelined|parallel|ideal quick|full`",
+        flags: &[("--spool DIR", "job spool (default: .poat/spool)")],
+    },
+    Cmd {
+        head: "jobs",
+        about: "spool depth, every catalog job, and a summary line",
+        flags: &[
+            ("--spool DIR", "job spool (default: .poat/spool)"),
+            ("--catalog PATH", "catalog (default: .poat/catalog.poatcat)"),
+        ],
+    },
+    Cmd {
+        head: "catalog query",
+        about: "the catalog's jobs, filtered by exact match",
+        flags: &[
+            ("--catalog PATH", "catalog (default: .poat/catalog.poatcat)"),
+            ("--workload W", "only jobs of workload W"),
+            ("--design D", "only jobs of design D"),
+            ("--scale S", "only jobs at scale S"),
+            ("--status S", "only jobs with status S"),
+            ("--metric NAME", "project one sim.result.* value per job"),
+        ],
+    },
+];
+
+impl Cmd {
+    /// The word that selects the subcommand.
+    fn name(&self) -> &'static str {
+        self.head.split(' ').next().unwrap_or_default()
+    }
+
+    /// The flag `arg` names, and whether it takes a value.
+    fn flag(&self, arg: &str) -> Option<(&'static str, bool)> {
+        self.flags.iter().find_map(|&(spec, _)| {
+            let (name, value) = spec.split_once(' ').unwrap_or((spec, ""));
+            (name == arg).then_some((name, !value.is_empty()))
+        })
+    }
+}
+
+/// One usage line per subcommand.
+fn usage() -> String {
+    let line = |c: &Cmd| {
+        c.flags
+            .iter()
+            .fold(c.head.to_string(), |l, (f, _)| l + " [" + f + "]")
+    };
+    let lines: Vec<String> = CMDS.iter().map(line).collect();
+    format!("usage: repro {}", lines.join("\n       repro "))
+}
+
+/// `repro --help`: the usage, the artifacts, then every subcommand's
+/// summary and flags.
+fn help_text() -> String {
+    let mut out = format!(
+        "{}\n\nRegenerates the paper's tables and figures (docs/EXPERIMENTS.md).\n\
+         -h or --help anywhere, or `repro help`, prints this help.\n\nARTIFACT:\n",
+        usage()
     );
-    std::process::exit(0);
+    for (name, about) in ARTIFACTS {
+        out += &format!("  {name:<10} {about}\n");
+    }
+    for cmd in CMDS {
+        out += &format!("\nrepro {}: {}\n", cmd.head, cmd.about);
+        for (flag, help) in cmd.flags {
+            out += &format!("  {flag:<25} {help}\n");
+        }
+    }
+    out
 }
 
-/// The value following `flag`, or a targeted error (exit 2).
-fn value_of(flag: &str, args: &mut impl Iterator<Item = String>) -> String {
-    args.next().unwrap_or_else(|| {
-        eprintln!("error: missing value for {flag}\n{USAGE}");
-        std::process::exit(2);
+/// Why a subcommand stopped; `main` prints it and exits.
+enum Fail {
+    /// Bad input — an argument, or an output that cannot be written:
+    /// exit 2.
+    Input(String),
+    /// A failed run: exit 1.
+    Run(String),
+}
+
+impl Fail {
+    /// The exit-2 failure of `doing` (`writing`, `creating`) `path`.
+    fn io<E: Display>(doing: &'static str, path: impl Display) -> impl FnOnce(E) -> Fail {
+        move |e| Fail::Input(format!("{doing} {path}: {e}"))
+    }
+}
+
+/// One subcommand's command line: its flags in the order given (a
+/// switch's value is empty) and its operands.
+struct Args<'a> {
+    cmd: &'static Cmd,
+    flags: Vec<(&'static str, &'a str)>,
+    operands: Vec<&'a str>,
+}
+
+/// The one argument loop: splits `args` into `cmd`'s flags and operands.
+fn parse<'a>(cmd: &'static Cmd, args: &'a [String]) -> Result<Args<'a>, Fail> {
+    let (mut flags, mut operands) = (Vec::new(), Vec::new());
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with('-') && cmd.head.contains(' ') {
+            operands.push(arg.as_str());
+            continue;
+        }
+        let (name, takes_value) = cmd
+            .flag(arg)
+            .ok_or_else(|| Fail::Input(format!("unknown argument `{arg}`")))?;
+        let value = if takes_value {
+            args.next()
+                .ok_or_else(|| Fail::Input(format!("missing value for {name}")))?
+        } else {
+            ""
+        };
+        flags.push((name, value));
+    }
+    Ok(Args {
+        cmd,
+        flags,
+        operands,
     })
 }
 
-/// Wall-clock seconds since the Unix epoch (for ledger records).
-fn unix_now_secs() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
+impl Args<'_> {
+    /// Where `name` was last given. Positions order flags that override
+    /// each other; `None` sorts first.
+    fn pos(&self, name: &str) -> Option<usize> {
+        debug_assert!(
+            self.cmd.flag(name).is_some(),
+            "`{name}` is not a flag of `repro {}`",
+            self.cmd.head
+        );
+        self.flags.iter().rposition(|(n, _)| *n == name)
+    }
+
+    /// The last value given for `name`, read by `parse`: `None` when the
+    /// flag is absent, the bad-value error when `parse` rejects it.
+    fn get<T>(&self, name: &str, parse: impl FnOnce(&str) -> Option<T>) -> Result<Option<T>, Fail> {
+        let Some(i) = self.pos(name) else {
+            return Ok(None);
+        };
+        let value = self.flags[i].1;
+        parse(value)
+            .map(Some)
+            .ok_or_else(|| Fail::Input(format!("bad value `{value}` for {name}")))
+    }
+}
+
+/// Any `FromStr` value: text, a path, a count.
+fn parsed<T: FromStr>(s: &str) -> Option<T> {
+    s.parse().ok()
+}
+
+/// A number above zero.
+fn positive<T: FromStr + Default + PartialOrd>(s: &str) -> Option<T> {
+    parsed(s).filter(|n| *n > T::default())
+}
+
+/// `A:B`, each side read by `side`.
+fn pair<T>(s: &str, side: impl Fn(&str) -> Option<T>) -> Option<(T, T)> {
+    let (a, b) = s.split_once(':')?;
+    Some((side(a)?, side(b)?))
+}
+
+/// `--scale`, unless a `--quick` follows it; quick by default.
+fn sweep_scale(args: &Args) -> Result<Scale, Fail> {
+    let scale = args.get("--scale", Scale::parse)?;
+    Ok(match scale {
+        Some(s) if args.pos("--scale") > args.pos("--quick") => s,
+        _ => Scale::Quick,
+    })
 }
 
 /// Appends one record for this run to the ledger at `path`, returning
 /// the assigned run id. Ledger failures degrade to a warning — a broken
 /// ledger must not lose an hour-long experiment run.
-fn append_to_ledger(path: &str, snapshot: &poat_telemetry::MetricsSnapshot) -> Option<String> {
-    let data = poat_ledger::RecordData::from_snapshot(snapshot, unix_now_secs());
-    match poat_ledger::open_file(std::path::Path::new(path)) {
+fn append_to_ledger(path: &str, snapshot: &MetricsSnapshot) -> Option<String> {
+    let data = poat_ledger::RecordData::from_snapshot(snapshot, serve::unix_now_secs());
+    match poat_ledger::open_file(Path::new(path)) {
         Ok(mut ledger) => match ledger.append(data) {
             Ok(seq) => {
                 let id = poat_ledger::run_id(seq);
@@ -187,6 +323,59 @@ fn append_to_ledger(path: &str, snapshot: &poat_telemetry::MetricsSnapshot) -> O
             None
         }
     }
+}
+
+/// Starts a run: when tracing to `trace` or writing timelines into
+/// `timeline`, installs the event recorder, whose flight-recorder tail a
+/// translation fault dumps next to the trace (or into the timeline
+/// directory); then zeroes the metrics so the snapshot describes
+/// exactly this run.
+fn start_run(trace: Option<&str>, timeline: Option<&Path>, sample: u64) -> Instant {
+    let flight = trace.map(|p| PathBuf::from(format!("{p}.flight.json")));
+    if let Some(flight) = flight.or_else(|| timeline.map(|d| d.join("flight.json"))) {
+        events::install(1 << 20, sample).set_flight_path(flight);
+        events::set_enabled(true);
+    }
+    poat_telemetry::global().reset();
+    Instant::now()
+}
+
+/// Ends a run: cuts the telemetry snapshot, appends it to the ledger
+/// and writes it to `--metrics`; returns it with the run's ledger id.
+fn finish_run(
+    args: &Args,
+    command: &str,
+    scale: Scale,
+    started: Instant,
+) -> Result<(MetricsSnapshot, Option<String>), Fail> {
+    let manifest = poat_telemetry::RunManifest::collect(command, scale.label(), started);
+    let snapshot = poat_telemetry::global().snapshot(manifest);
+    let ledger: Option<String> = args.get("--ledger", parsed)?;
+    let run_id = if args.pos("--no-ledger") > args.pos("--ledger") {
+        None
+    } else {
+        append_to_ledger(ledger.as_deref().unwrap_or(DEFAULT_LEDGER), &snapshot)
+    };
+    if let Some(path) = args.get::<String>("--metrics", parsed)? {
+        let json = snapshot.to_json_string();
+        write_artifact("metrics snapshot", &path, run_id.as_deref(), &json)
+            .map_err(|e| Fail::Input(e.to_string()))?;
+    }
+    Ok((snapshot, run_id))
+}
+
+/// Writes the Chrome Trace Format JSON for the events recorded so far.
+fn write_trace(path: &str) -> Result<(), Fail> {
+    let rec = events::installed().expect("invariant: start_run installed the recorder");
+    let evs = rec.events();
+    std::fs::write(path, poat_telemetry::timeline::chrome_trace_json(&evs))
+        .map_err(Fail::io("writing", path))?;
+    eprintln!(
+        "trace written to {path} ({} events, 1-in-{} sampling) — open in Perfetto",
+        evs.len(),
+        rec.sample()
+    );
+    Ok(())
 }
 
 /// Renders the span-tree profile: one row per path (indented by depth),
@@ -220,22 +409,23 @@ fn parse_run_ref(s: &str) -> Option<u64> {
     s.strip_prefix("run").unwrap_or(s).parse().ok()
 }
 
+/// `vb - va`, with the relative change to `decimals` places when `va`
+/// is non-zero: `+12 (+3.4%)`.
+fn delta(va: u64, vb: u64, decimals: usize) -> String {
+    let d = vb as i128 - va as i128;
+    match va {
+        0 => format!("{d:+}"),
+        _ => format!("{d:+} ({:+.*}%)", decimals, 100.0 * d as f64 / va as f64),
+    }
+}
+
 /// Prints the metric-level diff between two ledger records: the named
 /// metric when one was given, otherwise the largest relative changes.
 fn print_record_diff(
     a: &poat_ledger::LedgerRecord,
     b: &poat_ledger::LedgerRecord,
     metric: Option<&str>,
-) {
-    let delta_text = |va: u64, vb: u64| {
-        let d = vb as i128 - va as i128;
-        let rel = if va > 0 {
-            format!(" ({:+.1}%)", 100.0 * d as f64 / va as f64)
-        } else {
-            String::new()
-        };
-        format!("{d:+}{rel}")
-    };
+) -> Result<(), Fail> {
     println!(
         "diff {} ({} @ {}) -> {} ({} @ {})",
         a.run_id(),
@@ -246,20 +436,17 @@ fn print_record_diff(
         b.data.timestamp_unix_secs
     );
     if let Some(name) = metric {
-        match (a.data.metric(name), b.data.metric(name)) {
+        return match (a.data.metric(name), b.data.metric(name)) {
             (Some(va), Some(vb)) => {
-                println!("{name}: {va} -> {vb}  {}", delta_text(va, vb));
+                println!("{name}: {va} -> {vb}  {}", delta(va, vb, 1));
+                Ok(())
             }
-            (va, vb) => {
-                eprintln!(
-                    "error: metric `{name}` missing ({}: {va:?}, {}: {vb:?})",
-                    a.run_id(),
-                    b.run_id()
-                );
-                std::process::exit(1);
-            }
-        }
-        return;
+            (va, vb) => Err(Fail::Run(format!(
+                "metric `{name}` missing ({}: {va:?}, {}: {vb:?})",
+                a.run_id(),
+                b.run_id()
+            ))),
+        };
     }
     let mut changed: Vec<(String, u64, u64, f64)> = Vec::new();
     let mut names: Vec<String> = a.data.metric_names();
@@ -280,7 +467,7 @@ fn print_record_diff(
     changed.sort_by(|x, y| y.3.total_cmp(&x.3));
     const SHOW: usize = 20;
     for (name, va, vb, _) in changed.iter().take(SHOW) {
-        println!("{name}: {va} -> {vb}  {}", delta_text(*va, *vb));
+        println!("{name}: {va} -> {vb}  {}", delta(*va, *vb, 1));
     }
     println!(
         "{} of {} metrics changed{}",
@@ -292,51 +479,24 @@ fn print_record_diff(
             String::new()
         }
     );
+    Ok(())
 }
 
 /// The `repro report` entry point: lists, filters, and diffs the durable
 /// run ledger (docs/OBSERVABILITY.md).
-fn report_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut ledger_path = DEFAULT_LEDGER.to_string();
-    let mut last: Option<usize> = None;
-    let mut metric: Option<String> = None;
-    let mut command_filter: Option<String> = None;
-    let mut diff: Option<(u64, u64)> = None;
-    let bad = |flag: &str, v: &str| -> ! {
-        eprintln!("error: bad value `{v}` for {flag}\n{USAGE}");
-        std::process::exit(2);
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-h" | "--help" => help(),
-            "--ledger" => ledger_path = value_of("--ledger", &mut args),
-            "--last" => {
-                let v = value_of("--last", &mut args);
-                last = Some(v.parse().unwrap_or_else(|_| bad("--last", &v)));
-            }
-            "--metric" => metric = Some(value_of("--metric", &mut args)),
-            "--command" => command_filter = Some(value_of("--command", &mut args)),
-            "--diff" => {
-                let v = value_of("--diff", &mut args);
-                let parsed = v
-                    .split_once(':')
-                    .and_then(|(x, y)| Some((parse_run_ref(x)?, parse_run_ref(y)?)));
-                diff = Some(parsed.unwrap_or_else(|| bad("--diff", &v)));
-            }
-            other => {
-                eprintln!("error: unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
+fn report_main(args: &Args) -> Result<ExitCode, Fail> {
+    let ledger_path = args
+        .get("--ledger", parsed)?
+        .unwrap_or_else(|| DEFAULT_LEDGER.to_string());
+    let last: Option<usize> = args.get("--last", parsed)?;
+    let metric: Option<String> = args.get("--metric", parsed)?;
+    let command_filter: Option<String> = args.get("--command", parsed)?;
+    let diff = args.get("--diff", |v| pair(v, parse_run_ref))?;
 
     // Read-only: a report must not create the file, or repair a torn
     // tail that may be a concurrent run's in-flight append.
-    let ledger = poat_ledger::open_file_read_only(std::path::Path::new(&ledger_path))
-        .unwrap_or_else(|e| {
-            eprintln!("error: opening ledger {ledger_path}: {e}");
-            std::process::exit(1);
-        });
+    let ledger = poat_ledger::open_file_read_only(Path::new(&ledger_path))
+        .map_err(|e| Fail::Run(format!("opening ledger {ledger_path}: {e}")))?;
     let scan = ledger.scan_report();
     if scan.torn_tail_bytes > 0 {
         eprintln!(
@@ -347,18 +507,13 @@ fn report_main(mut args: impl Iterator<Item = String>) -> ! {
     }
 
     if let Some((a, b)) = diff {
-        let (ra, rb) = (
-            ledger.get(a).unwrap_or_else(|| {
-                eprintln!("error: no record with sequence {a} in {ledger_path}");
-                std::process::exit(1);
-            }),
-            ledger.get(b).unwrap_or_else(|| {
-                eprintln!("error: no record with sequence {b} in {ledger_path}");
-                std::process::exit(1);
-            }),
-        );
-        print_record_diff(ra, rb, metric.as_deref());
-        std::process::exit(0);
+        let record = |seq| {
+            ledger
+                .get(seq)
+                .ok_or_else(|| Fail::Run(format!("no record with sequence {seq} in {ledger_path}")))
+        };
+        print_record_diff(record(a)?, record(b)?, metric.as_deref())?;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let filtered: Vec<&poat_ledger::LedgerRecord> = ledger
@@ -396,13 +551,8 @@ fn report_main(mut args: impl Iterator<Item = String>) -> ! {
             println!("{}", t.render());
             if let [.., prev, newest] = shown {
                 if let (Some(va), Some(vb)) = (prev.data.metric(name), newest.data.metric(name)) {
-                    let d = vb as i128 - va as i128;
-                    let rel = if va > 0 {
-                        format!(" ({:+.2}%)", 100.0 * d as f64 / va as f64)
-                    } else {
-                        String::new()
-                    };
-                    println!("delta {} -> {}: {d:+}{rel}", prev.run_id(), newest.run_id());
+                    let (p, n) = (prev.run_id(), newest.run_id());
+                    println!("delta {p} -> {n}: {}", delta(va, vb, 2));
                 }
             }
         }
@@ -435,12 +585,12 @@ fn report_main(mut args: impl Iterator<Item = String>) -> ! {
         }
     }
     println!("{} records in {ledger_path}", ledger.records().len());
-    std::process::exit(0);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Renders the phase-latency percentile table from the metrics registry
 /// (the `span.<phase>.nanos` histograms; estimates — see docs/METRICS.md).
-fn phase_latency_text(snapshot: &poat_telemetry::MetricsSnapshot) -> String {
+fn phase_latency_text(snapshot: &MetricsSnapshot) -> String {
     let mut t = TextTable::new(
         "Phase latency percentiles (ns, log2-bucket estimates)",
         &["Phase", "Run", "Count", "Mean", "p50", "p90", "p99", "Max"],
@@ -517,172 +667,68 @@ fn timed<R>(name: &str, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Installs the event recorder for `--trace` and returns the path the
-/// flight-recorder tail will be dumped to on a translation fault.
-fn install_tracing(trace_path: &str, trace_sample: u64) {
-    let rec = events::install(1 << 20, trace_sample);
-    rec.set_flight_path(std::path::PathBuf::from(format!(
-        "{trace_path}.flight.json"
-    )));
-    events::set_enabled(true);
-}
-
-/// Writes the Chrome Trace Format JSON for the events recorded so far.
-fn write_trace(path: &str) {
-    let rec = events::installed().expect("recorder installed above");
-    let evs = rec.events();
-    std::fs::write(path, poat_telemetry::timeline::chrome_trace_json(&evs))
-        .expect("write chrome trace");
-    eprintln!(
-        "trace written to {path} ({} events, 1-in-{} sampling) — open in Perfetto",
-        evs.len(),
-        rec.sample()
-    );
-}
-
-/// The `repro crash-sweep` entry point: parses the subcommand's own
-/// flags, runs a sweep campaign (or a single `--replay` cell), and exits
-/// non-zero iff a clean/torn recovery-invariant violation was found.
-fn crash_sweep_main(mut args: impl Iterator<Item = String>) -> ! {
-    use poat_harness::crash_sweep;
+/// The `repro crash-sweep` entry point: runs a sweep campaign (or a
+/// single `--replay` cell), and exits non-zero iff a clean/torn
+/// recovery-invariant violation was found.
+fn crash_sweep_main(args: &Args) -> Result<ExitCode, Fail> {
     use poat_pmem::InjectMode;
 
-    let mut scale = Scale::Quick;
-    let mut inject: Option<Vec<InjectMode>> = None;
-    let mut workload: Option<(poat_workloads::Micro, poat_workloads::Pattern)> = None;
-    let mut max_points: Option<usize> = None;
-    let mut replay: Option<(u64, u64)> = None;
-    let mut trace_path: Option<String> = None;
-    let mut trace_sample: u64 = 1;
-    let mut metrics_path: Option<String> = None;
-    let mut ledger_path: Option<String> = Some(DEFAULT_LEDGER.to_string());
-    let bad = |flag: &str, v: &str| -> ! {
-        eprintln!("error: bad value `{v}` for {flag}\n{USAGE}");
-        std::process::exit(2);
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-h" | "--help" => help(),
-            "--quick" => scale = Scale::Quick,
-            "--scale" => {
-                let v = value_of("--scale", &mut args);
-                scale = match v.as_str() {
-                    "quick" => Scale::Quick,
-                    "full" => Scale::Full,
-                    _ => bad("--scale", &v),
-                };
-            }
-            "--workload" => {
-                let v = value_of("--workload", &mut args);
-                workload =
-                    Some(crash_sweep::parse_workload(&v).unwrap_or_else(|| bad("--workload", &v)));
-            }
-            "--inject" => {
-                let v = value_of("--inject", &mut args);
-                inject = Some(crash_sweep::parse_inject(&v).unwrap_or_else(|| bad("--inject", &v)));
-            }
-            "--max-points" => {
-                let v = value_of("--max-points", &mut args);
-                max_points = Some(v.parse().unwrap_or_else(|_| bad("--max-points", &v)));
-            }
-            "--replay" => {
-                let v = value_of("--replay", &mut args);
-                let parsed = v
-                    .split_once(':')
-                    .and_then(|(p, s)| Some((p.parse().ok()?, s.parse().ok()?)));
-                replay = Some(parsed.unwrap_or_else(|| bad("--replay", &v)));
-            }
-            "--trace" => trace_path = Some(value_of("--trace", &mut args)),
-            "--trace-sample" => {
-                let v = value_of("--trace-sample", &mut args);
-                trace_sample = v.parse().unwrap_or_else(|_| bad("--trace-sample", &v));
-            }
-            "--metrics" => metrics_path = Some(value_of("--metrics", &mut args)),
-            "--ledger" => ledger_path = Some(value_of("--ledger", &mut args)),
-            "--no-ledger" => ledger_path = None,
-            other => {
-                eprintln!("error: unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if let Some(path) = &trace_path {
-        install_tracing(path, trace_sample);
-    }
-    poat_telemetry::global().reset();
-    let started = Instant::now();
-
-    let mut opts = poat_harness::crash_sweep::SweepOptions::for_scale(scale);
-    if let Some(modes) = inject {
+    let scale = sweep_scale(args)?;
+    let mut opts = crash_sweep::SweepOptions::for_scale(scale);
+    if let Some(modes) = args.get("--inject", crash_sweep::parse_inject)? {
         opts.modes = modes;
     }
-    opts.workload = workload;
-    opts.max_points = max_points;
+    opts.workload = args.get("--workload", crash_sweep::parse_workload)?;
+    opts.max_points = args.get("--max-points", parsed)?;
+    let replay = args.get("--replay", |v| pair(v, parsed::<u64>))?;
+    if replay.is_some() && opts.workload.is_none() {
+        return Err(Fail::Input(
+            "--replay requires --workload BENCH:PATTERN".into(),
+        ));
+    }
+    let trace_path: Option<String> = args.get("--trace", parsed)?;
+    let trace_sample = args.get("--trace-sample", positive)?.unwrap_or(1);
 
-    let exit_code = if let Some((point, seed)) = replay {
-        let Some((bench, pattern)) = opts.workload else {
-            eprintln!("error: --replay requires --workload BENCH:PATTERN\n{USAGE}");
-            std::process::exit(2);
-        };
-        let mode = opts.modes.first().copied().unwrap_or_default();
-        match crash_sweep::replay(bench, pattern, scale, point, seed, mode) {
-            Ok(out) => {
-                println!(
-                    "replay {}/{} point {point} seed {seed} [{}]: tripped={} undo_applied={} digest={:016x}",
-                    bench.abbrev(),
-                    pattern.label(),
-                    mode.label(),
-                    out.tripped,
-                    out.undo_applied,
-                    out.digest
-                );
-                for v in &out.violations {
-                    println!("VIOLATION: {v}");
-                }
-                i32::from(!out.violations.is_empty() && mode != InjectMode::DropClwb)
-            }
-            Err(e) => {
-                eprintln!("error: replay failed: {e}");
-                1
-            }
+    let started = start_run(trace_path.as_deref(), None, trace_sample);
+    // A failed run still writes its trace and ledger record.
+    let outcome = match opts.workload.zip(replay) {
+        Some(((bench, pattern), (point, seed))) => {
+            let mode = opts.modes.first().copied().unwrap_or_default();
+            crash_sweep::replay(bench, pattern, scale, point, seed, mode)
+                .map(|out| {
+                    println!(
+                        "replay {}/{} point {point} seed {seed} [{}]: tripped={} undo_applied={} digest={:016x}",
+                        bench.abbrev(),
+                        pattern.label(),
+                        mode.label(),
+                        out.tripped,
+                        out.undo_applied,
+                        out.digest
+                    );
+                    for v in &out.violations {
+                        println!("VIOLATION: {v}");
+                    }
+                    !out.violations.is_empty() && mode != InjectMode::DropClwb
+                })
+                .map_err(|e| Fail::Run(format!("replay failed: {e}")))
         }
-    } else {
-        match crash_sweep::sweep(&opts) {
-            Ok(reports) => {
+        None => crash_sweep::sweep(&opts)
+            .map(|reports| {
                 println!("{}", crash_sweep::sweep_text(&reports));
-                i32::from(crash_sweep::total_violations(&reports) > 0)
-            }
-            Err(e) => {
-                eprintln!("error: crash sweep failed: {e}");
-                1
-            }
-        }
+                crash_sweep::total_violations(&reports) > 0
+            })
+            .map_err(|e| Fail::Run(format!("crash sweep failed: {e}"))),
     };
 
     if let Some(path) = &trace_path {
-        write_trace(path);
+        write_trace(path)?;
     }
-    if metrics_path.is_some() || ledger_path.is_some() {
-        let manifest = poat_telemetry::RunManifest::collect("crash-sweep", scale.label(), started);
-        let snapshot = poat_telemetry::global().snapshot(manifest);
-        let run_id = ledger_path
-            .as_deref()
-            .and_then(|path| append_to_ledger(path, &snapshot));
-        if let Some(path) = &metrics_path {
-            write_artifact(
-                "metrics snapshot",
-                path,
-                run_id.as_deref(),
-                &snapshot.to_json_string(),
-            );
-        }
-    }
+    finish_run(args, "crash-sweep", scale, started)?;
     eprintln!(
         "[crash-sweep @ {scale:?}] completed in {:.1}s",
         started.elapsed().as_secs_f64()
     );
-    std::process::exit(exit_code);
+    Ok(ExitCode::from(u8::from(outcome?)))
 }
 
 /// The `repro trace-roundtrip` entry point: for each selected workload,
@@ -692,53 +738,20 @@ fn crash_sweep_main(mut args: impl Iterator<Item = String>) -> ! {
 /// is lossless where it matters. Also enforces the ≤ 12 B/op in-memory
 /// budget the encoding is designed to (DESIGN.md). Exits non-zero on any
 /// divergence.
-fn trace_roundtrip_main(mut args: impl Iterator<Item = String>) -> ! {
-    use poat_harness::{crash_sweep, runner};
+fn trace_roundtrip_main(args: &Args) -> Result<ExitCode, Fail> {
     use poat_pmem::trace_io::{self, MmapTrace};
     use poat_workloads::{ExpConfig, Micro, Pattern};
 
     const MAX_BYTES_PER_OP: usize = 12;
 
-    let mut scale = Scale::Quick;
-    let mut workload: Option<(Micro, Pattern)> = None;
-    let mut dir: Option<std::path::PathBuf> = None;
-    let bad = |flag: &str, v: &str| -> ! {
-        eprintln!("error: bad value `{v}` for {flag}\n{USAGE}");
-        std::process::exit(2);
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-h" | "--help" => help(),
-            "--quick" => scale = Scale::Quick,
-            "--scale" => {
-                let v = value_of("--scale", &mut args);
-                scale = match v.as_str() {
-                    "quick" => Scale::Quick,
-                    "full" => Scale::Full,
-                    _ => bad("--scale", &v),
-                };
-            }
-            "--workload" => {
-                let v = value_of("--workload", &mut args);
-                workload =
-                    Some(crash_sweep::parse_workload(&v).unwrap_or_else(|| bad("--workload", &v)));
-            }
-            "--dir" => dir = Some(std::path::PathBuf::from(value_of("--dir", &mut args))),
-            other => {
-                eprintln!("error: unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let (out_dir, cleanup) = match dir {
-        Some(d) => (d, false),
-        None => (
-            std::env::temp_dir().join(format!("poat-trace-roundtrip-{}", std::process::id())),
-            true,
-        ),
-    };
-    std::fs::create_dir_all(&out_dir).expect("create trace output directory");
+    let scale = sweep_scale(args)?;
+    let workload = args.get("--workload", crash_sweep::parse_workload)?;
+    let dir: Option<PathBuf> = args.get("--dir", parsed)?;
+    let cleanup = dir.is_none();
+    let out_dir = dir.unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("poat-trace-roundtrip-{}", std::process::id()))
+    });
+    std::fs::create_dir_all(&out_dir).map_err(Fail::io("creating", out_dir.display()))?;
 
     let cells: Vec<(Micro, Pattern)> = match workload {
         Some(w) => vec![w],
@@ -761,13 +774,11 @@ fn trace_roundtrip_main(mut args: impl Iterator<Item = String>) -> ! {
             bench.abbrev(),
             pattern.label().to_lowercase()
         ));
-        trace_io::save_chunked(&run.trace, &path, trace_io::DEFAULT_CHUNK_OPS).expect("save trace");
+        trace_io::save_chunked(&run.trace, &path, trace_io::DEFAULT_CHUNK_OPS)
+            .map_err(Fail::io("writing", path.display()))?;
         let loaded = MmapTrace::open(&path)
             .and_then(|m| m.to_trace())
-            .unwrap_or_else(|e| {
-                eprintln!("error: reloading {} failed: {e}", path.display());
-                std::process::exit(1);
-            });
+            .map_err(|e| Fail::Run(format!("reloading {} failed: {e}", path.display())))?;
 
         let mut cell_ok = loaded == run.trace;
         if !cell_ok {
@@ -813,274 +824,100 @@ fn trace_roundtrip_main(mut args: impl Iterator<Item = String>) -> ! {
         "[trace-roundtrip @ {scale:?}] completed in {:.1}s",
         started.elapsed().as_secs_f64()
     );
-    std::process::exit(i32::from(failures > 0));
+    Ok(ExitCode::from(u8::from(failures > 0)))
 }
 
 /// The `repro serve` entry point: runs the serve loop until the
 /// configured exit condition (docs/OBSERVABILITY.md, serve mode).
-fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut opts = serve::ServeOptions {
-        spool: std::path::PathBuf::from(DEFAULT_SPOOL),
-        catalog: std::path::PathBuf::from(DEFAULT_CATALOG),
-        ..serve::ServeOptions::default()
+fn serve_main(args: &Args) -> Result<ExitCode, Fail> {
+    let defaults = serve::ServeOptions::default();
+    let opts = serve::ServeOptions {
+        spool: args.get("--spool", parsed)?.unwrap_or(defaults.spool),
+        catalog: args.get("--catalog", parsed)?.unwrap_or(defaults.catalog),
+        poll_ms: args.get("--poll-ms", positive)?.unwrap_or(defaults.poll_ms),
+        drain: args.pos("--drain").is_some(),
+        idle_exit_secs: args.get("--idle-exit", parsed)?,
     };
-    let bad = |flag: &str, v: &str| -> ! {
-        eprintln!("error: bad value `{v}` for {flag}\n{USAGE}");
-        std::process::exit(2);
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-h" | "--help" => help(),
-            "--spool" => opts.spool = std::path::PathBuf::from(value_of("--spool", &mut args)),
-            "--catalog" => {
-                opts.catalog = std::path::PathBuf::from(value_of("--catalog", &mut args));
-            }
-            "--poll-ms" => {
-                let v = value_of("--poll-ms", &mut args);
-                opts.poll_ms = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| bad("--poll-ms", &v));
-            }
-            "--drain" => opts.drain = true,
-            "--idle-exit" => {
-                let v = value_of("--idle-exit", &mut args);
-                opts.idle_exit_secs = Some(v.parse().unwrap_or_else(|_| bad("--idle-exit", &v)));
-            }
-            "--workers" => {
-                let v = value_of("--workers", &mut args);
-                let n: usize = v.parse().ok().filter(|n| *n > 0).unwrap_or_else(|| {
-                    eprintln!("error: --workers expects a positive integer, got `{v}`");
-                    std::process::exit(2);
-                });
-                poat_harness::runner::set_worker_override(Some(n));
-            }
-            other => {
-                eprintln!("error: unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    match serve::serve(&opts) {
-        Ok(summary) => {
-            eprintln!(
-                "serve: {} claimed, {} completed, {} failed",
-                summary.claimed, summary.completed, summary.failed
-            );
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: serve: {e}");
-            std::process::exit(1);
-        }
-    }
+    runner::set_worker_override(args.get("--workers", positive)?);
+    let summary = serve::serve(&opts).map_err(|e| Fail::Run(format!("serve: {e}")))?;
+    eprintln!(
+        "serve: {} claimed, {} completed, {} failed",
+        summary.claimed, summary.completed, summary.failed
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `repro submit` entry point: validates one job spec and drops it
 /// into the spool atomically.
-fn submit_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut spool = std::path::PathBuf::from(DEFAULT_SPOOL);
-    let mut positional: Vec<String> = Vec::new();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-h" | "--help" => help(),
-            "--spool" => spool = std::path::PathBuf::from(value_of("--spool", &mut args)),
-            other if other.starts_with('-') => {
-                eprintln!("error: unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    let [workload, design, scale] = positional.as_slice() else {
-        eprintln!(
-            "error: submit expects WORKLOAD DESIGN SCALE (got {} operand(s))\n{USAGE}",
-            positional.len()
-        );
-        std::process::exit(2);
+fn submit_main(args: &Args) -> Result<ExitCode, Fail> {
+    let [workload, design, scale] = args.operands[..] else {
+        return Err(Fail::Input(format!(
+            "submit expects WORKLOAD DESIGN SCALE (got {} operand(s))",
+            args.operands.len()
+        )));
     };
-    let spec = serve::validate_spec(workload, design, scale).unwrap_or_else(|e| {
-        eprintln!("error: {e}\n{USAGE}");
-        std::process::exit(2);
-    });
-    match serve::submit(&spool, &spec) {
-        Ok(path) => {
-            println!("submitted {} -> {}", spec.display(), path.display());
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: submitting to {}: {e}", spool.display());
-            std::process::exit(1);
-        }
-    }
+    let spec = serve::validate_spec(workload, design, scale).map_err(Fail::Input)?;
+    let spool = args.get("--spool", parsed)?;
+    let spool = spool.unwrap_or_else(|| serve::ServeOptions::default().spool);
+    let file = serve::submit(&spool, &spec)
+        .map_err(|e| Fail::Run(format!("submitting to {}: {e}", spool.display())))?;
+    println!("submitted {} -> {}", spec.display(), file.display());
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `repro jobs` entry point: spool depth + catalog job table.
-fn jobs_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut spool = std::path::PathBuf::from(DEFAULT_SPOOL);
-    let mut catalog = std::path::PathBuf::from(DEFAULT_CATALOG);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-h" | "--help" => help(),
-            "--spool" => spool = std::path::PathBuf::from(value_of("--spool", &mut args)),
-            "--catalog" => catalog = std::path::PathBuf::from(value_of("--catalog", &mut args)),
-            other => {
-                eprintln!("error: unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    match jobs::jobs_text(&spool, &catalog) {
-        Ok(text) => {
-            println!("{text}");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
+fn jobs_main(args: &Args) -> Result<ExitCode, Fail> {
+    let defaults = serve::ServeOptions::default();
+    let spool = args.get("--spool", parsed)?.unwrap_or(defaults.spool);
+    let catalog = args.get("--catalog", parsed)?.unwrap_or(defaults.catalog);
+    println!("{}", jobs::jobs_text(&spool, &catalog).map_err(Fail::Run)?);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `repro catalog query` entry point: filtered historical jobs.
-fn catalog_main(mut args: impl Iterator<Item = String>) -> ! {
-    match args.next().as_deref() {
-        Some("query") => {}
-        Some("-h") | Some("--help") => help(),
-        other => {
-            eprintln!(
-                "error: expected `repro catalog query`, got `catalog {}`\n{USAGE}",
-                other.unwrap_or("")
-            );
-            std::process::exit(2);
-        }
+fn catalog_main(args: &Args) -> Result<ExitCode, Fail> {
+    if args.operands != ["query"] {
+        return Err(Fail::Input(format!(
+            "expected `repro catalog query`, got `catalog {}`",
+            args.operands.join(" ")
+        )));
     }
-    let mut catalog = std::path::PathBuf::from(DEFAULT_CATALOG);
-    let mut filter = poat_ledger::catalog::QueryFilter::default();
-    let mut metric: Option<String> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-h" | "--help" => help(),
-            "--catalog" => catalog = std::path::PathBuf::from(value_of("--catalog", &mut args)),
-            "--workload" => filter.workload = Some(value_of("--workload", &mut args)),
-            "--design" => filter.design = Some(value_of("--design", &mut args)),
-            "--scale" => filter.scale = Some(value_of("--scale", &mut args)),
-            "--status" => filter.status = Some(value_of("--status", &mut args)),
-            "--metric" => metric = Some(value_of("--metric", &mut args)),
-            other => {
-                eprintln!("error: unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    match jobs::query_text(&catalog, &filter, metric.as_deref()) {
-        Ok(text) => {
-            println!("{text}");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
+    let catalog = args.get("--catalog", parsed)?;
+    let catalog = catalog.unwrap_or_else(|| serve::ServeOptions::default().catalog);
+    let filter = poat_ledger::catalog::QueryFilter {
+        workload: args.get("--workload", parsed)?,
+        design: args.get("--design", parsed)?,
+        scale: args.get("--scale", parsed)?,
+        status: args.get("--status", parsed)?,
+    };
+    let metric: Option<String> = args.get("--metric", parsed)?;
+    let table = jobs::query_text(&catalog, &filter, metric.as_deref()).map_err(Fail::Run)?;
+    println!("{table}");
+    Ok(ExitCode::SUCCESS)
 }
 
-fn main() {
-    // Library status lines (serve progress, artifact writes) land on
-    // stderr; stdout stays machine-parseable.
-    poat_harness::notify::set_sink(Box::new(|line| eprintln!("{line}")));
-    let mut args = std::env::args().skip(1);
-    let Some(artifact) = args.next() else { usage() };
-    if matches!(artifact.as_str(), "-h" | "--help" | "help") {
-        help();
-    }
-    if artifact == "crash-sweep" {
-        crash_sweep_main(args);
-    }
-    if artifact == "trace-roundtrip" {
-        trace_roundtrip_main(args);
-    }
-    if artifact == "report" {
-        report_main(args);
-    }
-    if artifact == "serve" {
-        serve_main(args);
-    }
-    if artifact == "submit" {
-        submit_main(args);
-    }
-    if artifact == "jobs" {
-        jobs_main(args);
-    }
-    if artifact == "catalog" {
-        catalog_main(args);
-    }
-    let mut scale = Scale::Full;
-    let mut json_path: Option<String> = None;
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut trace_sample: u64 = 1;
-    let mut timeline_dir: Option<std::path::PathBuf> = None;
-    let mut profile_on = false;
-    let mut flame_path: Option<String> = None;
-    let mut hud_secs: Option<u64> = None;
-    let mut ledger_path: Option<String> = Some(DEFAULT_LEDGER.to_string());
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-h" | "--help" => help(),
-            "--quick" => scale = Scale::Quick,
-            "--workers" => {
-                let v = value_of("--workers", &mut args);
-                let n: usize = v.parse().ok().filter(|n| *n > 0).unwrap_or_else(|| {
-                    eprintln!("error: --workers expects a positive integer, got `{v}`");
-                    std::process::exit(2);
-                });
-                poat_harness::runner::set_worker_override(Some(n));
-            }
-            "--json" => json_path = Some(value_of("--json", &mut args)),
-            "--csv" => {
-                let d = std::path::PathBuf::from(value_of("--csv", &mut args));
-                std::fs::create_dir_all(&d).expect("create csv output directory");
-                csv_dir = Some(d);
-            }
-            "--metrics" => metrics_path = Some(value_of("--metrics", &mut args)),
-            "--trace" => trace_path = Some(value_of("--trace", &mut args)),
-            "--trace-sample" => {
-                let v = value_of("--trace-sample", &mut args);
-                trace_sample = v.parse().unwrap_or_else(|_| {
-                    eprintln!("error: --trace-sample expects a positive integer, got `{v}`");
-                    std::process::exit(2);
-                });
-            }
-            "--timeline" => {
-                let d = std::path::PathBuf::from(value_of("--timeline", &mut args));
-                std::fs::create_dir_all(&d).expect("create timeline output directory");
-                timeline_dir = Some(d);
-            }
-            "--profile" => profile_on = true,
-            "--flame" => {
-                flame_path = Some(value_of("--flame", &mut args));
-                profile_on = true;
-            }
-            "--hud" => {
-                let v = value_of("--hud", &mut args);
-                let secs: u64 = v.parse().ok().filter(|s| *s > 0).unwrap_or_else(|| {
-                    eprintln!("error: --hud expects a positive number of seconds, got `{v}`");
-                    std::process::exit(2);
-                });
-                hud_secs = Some(secs);
-            }
-            "--ledger" => ledger_path = Some(value_of("--ledger", &mut args)),
-            "--no-ledger" => ledger_path = None,
-            other => {
-                eprintln!("error: unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
+fn to_json(value: &impl serde::Serialize) -> serde_json::Value {
+    serde_json::to_value(value).expect("invariant: results are plain data")
+}
 
+/// The `repro ARTIFACT` entry point: regenerates one artifact, or all of
+/// them.
+fn artifact_main(artifact: &str, args: &Args) -> Result<ExitCode, Fail> {
+    let scale = args.pos("--quick").map_or(Scale::Full, |_| Scale::Quick);
+    let workers = args.get("--workers", positive)?;
+    let json_path: Option<String> = args.get("--json", parsed)?;
+    let csv_dir: Option<PathBuf> = args.get("--csv", parsed)?;
+    let trace_path: Option<String> = args.get("--trace", parsed)?;
+    let trace_sample = args.get("--trace-sample", positive)?.unwrap_or(1);
+    let timeline_dir: Option<PathBuf> = args.get("--timeline", parsed)?;
+    let flame_path: Option<String> = args.get("--flame", parsed)?;
+    let profile_on = args.pos("--profile").is_some() || flame_path.is_some();
+    let hud_secs = args.get("--hud", positive)?;
+
+    for dir in csv_dir.iter().chain(&timeline_dir) {
+        std::fs::create_dir_all(dir).map_err(Fail::io("creating", dir.display()))?;
+    }
+    runner::set_worker_override(workers);
     if profile_on {
         poat_telemetry::profile::set_sample(trace_sample);
         poat_telemetry::profile::set_enabled(true);
@@ -1089,42 +926,19 @@ fn main() {
         poat_harness::hud::set_sink(Box::new(|line: &str| eprintln!("{line}")));
         poat_harness::hud::set_interval(Some(std::time::Duration::from_secs(secs)));
     }
-
-    if trace_path.is_some() || timeline_dir.is_some() {
-        let rec = events::install(1 << 20, trace_sample);
-        // Auto-dump the flight-recorder tail next to the trace (or into
-        // the timeline directory) if a translation fault fires.
-        let flight = match (&trace_path, &timeline_dir) {
-            (Some(p), _) => std::path::PathBuf::from(format!("{p}.flight.json")),
-            (None, Some(d)) => d.join("flight.json"),
-            (None, None) => unreachable!("guarded by the enclosing if"),
-        };
-        rec.set_flight_path(flight);
-        events::set_enabled(true);
-    }
-
-    // Start from zeroed metrics so the snapshot describes exactly this run.
-    poat_telemetry::global().reset();
-    let started = Instant::now();
+    let started = start_run(trace_path.as_deref(), timeline_dir.as_deref(), trace_sample);
     let mut json: BTreeMap<String, serde_json::Value> = BTreeMap::new();
-
     let wants = |k: &str| artifact == k || artifact == "all";
-    let mut matched = false;
 
     if wants("table2") {
-        matched = true;
         let rows = timed("table2", || experiments::table2(scale));
         println!("{}", table2_text(&rows));
         if let Some(dir) = &csv_dir {
-            csv::table2(dir, &rows).expect("write table2 csv");
+            csv::table2(dir, &rows).map_err(Fail::io("writing", dir.display()))?;
         }
-        json.insert(
-            "table2".into(),
-            serde_json::to_value(&rows).expect("serialize"),
-        );
+        json.insert("table2".into(), to_json(&rows));
     }
     if wants("fig9a") || wants("fig9b") || wants("table8") || wants("instrs") {
-        matched = true;
         let main = timed("main_matrix", || experiments::main_matrix(scale));
         if wants("fig9a") {
             println!("{}", fig9a_text(&main.fig9a));
@@ -1139,27 +953,19 @@ fn main() {
             println!("{}", instrs_text(&main.instrs));
         }
         if let Some(dir) = &csv_dir {
-            csv::main_results(dir, &main).expect("write fig9/table8 csvs");
+            csv::main_results(dir, &main).map_err(Fail::io("writing", dir.display()))?;
         }
-        json.insert(
-            "main".into(),
-            serde_json::to_value(&main).expect("serialize"),
-        );
+        json.insert("main".into(), to_json(&main));
     }
     if wants("fig10") {
-        matched = true;
         let rows = timed("fig10", || experiments::fig10(scale));
         println!("{}", fig10_text(&rows));
         if let Some(dir) = &csv_dir {
-            csv::fig10(dir, &rows).expect("write fig10 csv");
+            csv::fig10(dir, &rows).map_err(Fail::io("writing", dir.display()))?;
         }
-        json.insert(
-            "fig10".into(),
-            serde_json::to_value(&rows).expect("serialize"),
-        );
+        json.insert("fig10".into(), to_json(&rows));
     }
     if wants("fig11") || wants("table9") {
-        matched = true;
         let rows = timed("fig11", || experiments::fig11(scale));
         if wants("fig11") {
             println!("{}", fig11_text(&rows));
@@ -1168,76 +974,62 @@ fn main() {
             println!("{}", table9_text(&rows));
         }
         if let Some(dir) = &csv_dir {
-            csv::fig11(dir, &rows).expect("write fig11/table9 csvs");
+            csv::fig11(dir, &rows).map_err(Fail::io("writing", dir.display()))?;
         }
-        json.insert(
-            "fig11".into(),
-            serde_json::to_value(&rows).expect("serialize"),
-        );
+        json.insert("fig11".into(), to_json(&rows));
     }
     if wants("fig12") {
-        matched = true;
         let rows = timed("fig12", || experiments::fig12(scale));
         println!("{}", fig12_text(&rows));
         if let Some(dir) = &csv_dir {
-            csv::fig12(dir, &rows).expect("write fig12 csv");
+            csv::fig12(dir, &rows).map_err(Fail::io("writing", dir.display()))?;
         }
-        json.insert(
-            "fig12".into(),
-            serde_json::to_value(&rows).expect("serialize"),
-        );
+        json.insert("fig12".into(), to_json(&rows));
     }
     if wants("seeds") {
-        matched = true;
         let rows = timed("seeds", || experiments::seeds(scale, 5));
         println!("{}", experiments::seeds_text(&rows));
-        json.insert(
-            "seeds".into(),
-            serde_json::to_value(&rows).expect("serialize"),
-        );
+        json.insert("seeds".into(), to_json(&rows));
     }
     if wants("ablations") {
-        matched = true;
         let r = timed("ablations", || ablations::all(scale));
         println!("{}", ablations::all_text(&r));
         if let Some(dir) = &csv_dir {
-            csv::ablations(dir, &r).expect("write ablation csvs");
+            csv::ablations(dir, &r).map_err(Fail::io("writing", dir.display()))?;
         }
-        json.insert(
-            "ablations".into(),
-            serde_json::to_value(&r).expect("serialize"),
-        );
-    }
-    if !matched {
-        usage();
+        json.insert("ablations".into(), to_json(&r));
     }
 
     // The Chrome trace snapshots the artifact run's events; it must be
     // written before the timeline pass, which clears the ring per run.
     if let Some(path) = &trace_path {
-        write_trace(path);
+        write_trace(path)?;
     }
     if let Some(dir) = &timeline_dir {
         let rows = timed("timeline", || timeline::collect(scale));
         println!("{}", timeline::text(&rows));
-        timeline::write_csvs(dir, &rows).expect("write timeline csvs");
+        timeline::write_csvs(dir, &rows).map_err(Fail::io("writing", dir.display()))?;
         eprintln!("timelines written to {}", dir.display());
     }
 
     // The profile publishes into the registry *before* the snapshot is
     // cut, so the metrics file and the ledger record both carry the
     // per-phase `profile.*` counters.
-    let profile_snap = if profile_on {
+    let profile_snap = profile_on.then(|| {
         poat_telemetry::profile::set_enabled(false);
         let snap = poat_telemetry::profile::snapshot();
         snap.publish(poat_telemetry::global());
-        Some(snap)
-    } else {
-        None
-    };
+        snap
+    });
 
-    let manifest = poat_telemetry::RunManifest::collect(&artifact, scale.label(), started);
-    let snapshot = poat_telemetry::global().snapshot(manifest.clone());
+    let (snapshot, run_id) = finish_run(args, artifact, scale, started)?;
+    if let Some(path) = json_path {
+        json.insert("manifest".into(), to_json(&snapshot.manifest));
+        let contents =
+            serde_json::to_string_pretty(&json).expect("invariant: results are plain data");
+        write_artifact("results", &path, run_id.as_deref(), &contents)
+            .map_err(|e| Fail::Input(e.to_string()))?;
+    }
     let phases = phase_latency_text(&snapshot);
     if !phases.is_empty() {
         println!("{phases}");
@@ -1254,7 +1046,7 @@ fn main() {
             );
         }
         if let Some(path) = &flame_path {
-            std::fs::write(path, prof.collapsed()).expect("write collapsed-stack flamegraph");
+            std::fs::write(path, prof.collapsed()).map_err(Fail::io("writing", path))?;
             eprintln!(
                 "flamegraph written to {path} ({} stacks, collapsed format — \
                  feed to inferno-flamegraph)",
@@ -1262,29 +1054,137 @@ fn main() {
             );
         }
     }
-
-    let run_id = ledger_path
-        .as_deref()
-        .and_then(|path| append_to_ledger(path, &snapshot));
-
-    if let Some(path) = json_path {
-        json.insert(
-            "manifest".into(),
-            serde_json::to_value(&manifest).expect("serialize manifest"),
-        );
-        let contents = serde_json::to_string_pretty(&json).expect("serialize results");
-        write_artifact("results", &path, run_id.as_deref(), &contents);
-    }
-    if let Some(path) = metrics_path {
-        write_artifact(
-            "metrics snapshot",
-            &path,
-            run_id.as_deref(),
-            &snapshot.to_json_string(),
-        );
-    }
     eprintln!(
         "[{artifact} @ {scale:?}] completed in {:.1}s",
         started.elapsed().as_secs_f64()
     );
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The subcommand `first` selects: an artifact name or a subcommand's
+/// word.
+fn select(first: &str) -> Result<&'static Cmd, Fail> {
+    if ARTIFACTS.iter().any(|(name, _)| *name == first) {
+        return Ok(&CMDS[0]);
+    }
+    CMDS[1..]
+        .iter()
+        .find(|c| c.name() == first)
+        .ok_or_else(|| Fail::Input(format!("unknown artifact `{first}`")))
+}
+
+/// Parses the command line and runs the subcommand it selects.
+fn run(args: &[String]) -> Result<ExitCode, Fail> {
+    let Some((first, rest)) = args.split_first() else {
+        return Err(Fail::Input("missing artifact or subcommand".into()));
+    };
+    if first == "help" || args.iter().any(|a| a == "-h" || a == "--help") {
+        println!("{}", help_text());
+        return Ok(ExitCode::SUCCESS);
+    }
+    let cmd = select(first)?;
+    let args = parse(cmd, rest)?;
+    match cmd.name() {
+        "report" => report_main(&args),
+        "crash-sweep" => crash_sweep_main(&args),
+        "trace-roundtrip" => trace_roundtrip_main(&args),
+        "serve" => serve_main(&args),
+        "submit" => submit_main(&args),
+        "jobs" => jobs_main(&args),
+        "catalog" => catalog_main(&args),
+        _ => artifact_main(first, &args),
+    }
+}
+
+fn main() -> ExitCode {
+    // Library status lines (serve progress, artifact writes) land on
+    // stderr; stdout stays machine-parseable.
+    poat_harness::notify::set_sink(Box::new(|line| eprintln!("{line}")));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (code, msg) = match run(&args) {
+        Ok(code) => return code,
+        Err(Fail::Input(msg)) => (2, format!("{msg}\n{}", usage())),
+        Err(Fail::Run(msg)) => (1, msg),
+    };
+    eprintln!("error: {msg}");
+    ExitCode::from(code)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// Asserts that `repro HEAD ARGS` is rejected with a message
+    /// containing `needle`.
+    fn rejects(cmd: &'static Cmd, args: &[&str], needle: &str) {
+        let line = format!("repro {} {}", cmd.head, args.join(" "));
+        match parse(cmd, &strings(args)) {
+            Err(Fail::Input(msg)) => assert!(msg.contains(needle), "`{line}`: {msg}"),
+            _ => panic!("`{line}` was not rejected with `{needle}`"),
+        }
+    }
+
+    #[test]
+    fn the_flag_table_drives_help_and_parsing() {
+        let help = help_text();
+        let flag_name = |spec: &str| spec.split(' ').next().unwrap().to_string();
+        for cmd in CMDS {
+            let head = format!("repro {}", cmd.head);
+            assert!(help.contains(&head), "help lists `{head}`");
+            for &(spec, _) in cmd.flags {
+                assert!(help.contains(spec), "help documents `{spec}` for `{head}`");
+                let name = flag_name(spec);
+                if spec.contains(' ') {
+                    rejects(cmd, &[&name], &format!("missing value for {name}"));
+                }
+            }
+            for &(spec, _) in CMDS.iter().flat_map(|c| c.flags) {
+                let name = flag_name(spec);
+                if cmd.flag(&name).is_none() {
+                    rejects(cmd, &[&name, "x"], &format!("unknown argument `{name}`"));
+                }
+            }
+        }
+        for (artifact, _) in ARTIFACTS {
+            assert!(help.contains(artifact), "help lists `{artifact}`");
+            assert!(
+                matches!(select(artifact), Ok(cmd) if cmd.head == "ARTIFACT"),
+                "`repro {artifact}` selects the artifact run"
+            );
+        }
+        assert!(
+            matches!(select("bogus"), Err(Fail::Input(msg)) if msg == "unknown artifact `bogus`")
+        );
+    }
+
+    #[test]
+    fn the_last_of_overriding_flags_wins() {
+        let sweep = select("crash-sweep").ok().unwrap();
+        let scale = |args: &[&str]| {
+            let args = strings(args);
+            sweep_scale(&parse(sweep, &args).ok().unwrap())
+                .ok()
+                .unwrap()
+        };
+        assert_eq!(scale(&[]), Scale::Quick);
+        assert_eq!(scale(&["--scale", "full"]), Scale::Full);
+        assert_eq!(scale(&["--scale", "full", "--quick"]), Scale::Quick);
+        assert_eq!(scale(&["--quick", "--scale", "full"]), Scale::Full);
+        assert_eq!(
+            scale(&["--scale", "full", "--scale", "quick"]),
+            Scale::Quick
+        );
+
+        let args = strings(&["--ledger", "a", "--no-ledger", "--ledger", "b"]);
+        let args = parse(sweep, &args).ok().unwrap();
+        assert!(args.pos("--no-ledger") < args.pos("--ledger"));
+        assert_eq!(
+            args.get("--ledger", parsed::<String>).ok().unwrap(),
+            Some("b".into())
+        );
+    }
 }

@@ -58,6 +58,13 @@ impl Scale {
             Scale::Quick => "quick",
         }
     }
+
+    /// The scale a [`label`](Scale::label) names.
+    pub fn parse(label: &str) -> Option<Scale> {
+        [Scale::Full, Scale::Quick]
+            .into_iter()
+            .find(|s| s.label() == label)
+    }
 }
 
 /// The product of executing one workload natively: its dynamic trace and

@@ -32,15 +32,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use poat_core::TranslationConfig;
 use poat_ledger::catalog::{CatalogRecord, JobSpec};
 use poat_telemetry::global;
-use poat_workloads::ExpConfig;
+use poat_workloads::{ExpConfig, Micro, Pattern};
 
 use crate::notify;
 use crate::runner::{self, Core, Scale};
-
-/// Design labels a job spec may name, in CLI spelling.
-pub const DESIGNS: [&str; 3] = ["pipelined", "parallel", "ideal"];
 
 /// How the serve loop runs.
 pub struct ServeOptions {
@@ -79,6 +77,30 @@ pub struct ServeSummary {
     pub failed: u64,
 }
 
+/// Resolves a submission's fields to what a run needs, or describes the
+/// first invalid one.
+fn resolve(
+    workload: &str,
+    design: &str,
+    scale: &str,
+) -> Result<(Micro, Pattern, Scale, TranslationConfig), String> {
+    let (bench, pattern) = crate::crash_sweep::parse_workload(workload).ok_or_else(|| {
+        format!("unknown workload `{workload}` (expected BENCH:PATTERN, e.g. LL:ALL)")
+    })?;
+    let translation = match design {
+        "pipelined" => Some(runner::pipelined()),
+        "parallel" => Some(runner::parallel()),
+        "ideal" => Some(runner::ideal()),
+        _ => None,
+    }
+    .ok_or_else(|| {
+        format!("unknown design `{design}` (expected one of pipelined, parallel, ideal)")
+    })?;
+    let scale = Scale::parse(scale)
+        .ok_or_else(|| format!("unknown scale `{scale}` (expected quick or full)"))?;
+    Ok((bench, pattern, scale, translation))
+}
+
 /// Validates a submission's fields against the grammar batch `repro`
 /// accepts, returning the normalized spec.
 ///
@@ -86,22 +108,11 @@ pub struct ServeSummary {
 ///
 /// A human-readable description of the first invalid field.
 pub fn validate_spec(workload: &str, design: &str, scale: &str) -> Result<JobSpec, String> {
-    let (bench, pattern) = crate::crash_sweep::parse_workload(workload).ok_or_else(|| {
-        format!("unknown workload `{workload}` (expected BENCH:PATTERN, e.g. LL:ALL)")
-    })?;
-    if !DESIGNS.contains(&design) {
-        return Err(format!(
-            "unknown design `{design}` (expected one of {})",
-            DESIGNS.join(", ")
-        ));
-    }
-    if scale != "quick" && scale != "full" {
-        return Err(format!("unknown scale `{scale}` (expected quick or full)"));
-    }
+    let (bench, pattern, scale, _) = resolve(workload, design, scale)?;
     Ok(JobSpec {
         workload: format!("{}:{}", bench.abbrev(), pattern.label()),
         design: design.to_string(),
-        scale: scale.to_string(),
+        scale: scale.label().to_string(),
     })
 }
 
@@ -228,19 +239,7 @@ fn list_specs(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// Invalid spec fields or a panicking simulation, described for the
 /// catalog's `Failed` event.
 pub fn execute_spec(spec: &JobSpec) -> Result<BTreeMap<String, u64>, String> {
-    let spec = validate_spec(&spec.workload, &spec.design, &spec.scale)?;
-    let (bench, pattern) =
-        crate::crash_sweep::parse_workload(&spec.workload).expect("validated above");
-    let scale = if spec.scale == "full" {
-        Scale::Full
-    } else {
-        Scale::Quick
-    };
-    let translation = match spec.design.as_str() {
-        "parallel" => runner::parallel(),
-        "ideal" => runner::ideal(),
-        _ => runner::pipelined(),
-    };
+    let (bench, pattern, scale, translation) = resolve(&spec.workload, &spec.design, &spec.scale)?;
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let run = runner::run_micro(bench, pattern, ExpConfig::Opt, scale);
         runner::simulate(&run, Core::InOrder, translation)
@@ -278,7 +277,7 @@ fn claim_batch(spool: &Path) -> std::io::Result<Vec<ClaimedJob>> {
     std::fs::create_dir_all(&running)?;
     let mut batch = Vec::new();
     for path in pending_specs(spool)? {
-        let dest = running.join(path.file_name().expect("spec files have names"));
+        let dest = running.join(path.file_name().expect("invariant: specs have names"));
         match std::fs::rename(&path, &dest) {
             Ok(()) => batch.push(ClaimedJob {
                 parsed: read_spec(&dest),
@@ -301,7 +300,7 @@ fn recover_orphans(spool: &Path) -> std::io::Result<u64> {
     std::fs::create_dir_all(&pending)?;
     let mut recovered = 0;
     for path in running_specs(spool)? {
-        let dest = pending.join(path.file_name().expect("spec files have names"));
+        let dest = pending.join(path.file_name().expect("invariant: specs have names"));
         std::fs::rename(&path, &dest)?;
         recovered += 1;
     }

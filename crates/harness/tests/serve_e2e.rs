@@ -160,38 +160,11 @@ fn served_jobs_match_batch_runs_byte_for_byte() {
 }
 
 #[test]
-fn help_and_missing_values_cover_the_serve_surface() {
-    let out = repro(&["--help"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in [
-        "repro serve",
-        "repro submit",
-        "repro jobs",
-        "repro catalog query",
-        "--spool DIR",
-        "--catalog PATH",
-        "--drain",
-        "--idle-exit SECS",
-        "--status S",
-    ] {
-        assert!(stdout.contains(needle), "help documents `{needle}`");
-    }
-
+fn bad_serve_values_and_operands_exit_2() {
     for (args, needle) in [
-        (&["serve", "--spool"][..], "missing value for --spool"),
-        (
-            &["serve", "--idle-exit"][..],
-            "missing value for --idle-exit",
-        ),
         (
             &["serve", "--poll-ms", "0"][..],
             "bad value `0` for --poll-ms",
-        ),
-        (&["jobs", "--catalog"][..], "missing value for --catalog"),
-        (
-            &["catalog", "query", "--metric"][..],
-            "missing value for --metric",
         ),
         (&["catalog", "list"][..], "expected `repro catalog query`"),
         (
