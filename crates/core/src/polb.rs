@@ -22,7 +22,7 @@ use crate::addr::PAGE_BYTES;
 use crate::oid::{ObjectId, PoolId};
 use crate::stats::PolbStats;
 use poat_telemetry::events::{self, EventKind};
-use poat_telemetry::Counter;
+use poat_telemetry::LocalCounter;
 
 /// Common interface over the two POLB designs.
 ///
@@ -50,9 +50,6 @@ pub trait TranslationBuffer {
 
     /// Hit/miss counters accumulated by `translate`.
     fn stats(&self) -> &PolbStats;
-
-    /// Resets the hit/miss counters (e.g. after warm-up).
-    fn reset_stats(&mut self);
 
     /// Number of entries the buffer can hold (0 = no POLB present).
     fn capacity(&self) -> usize;
@@ -82,19 +79,19 @@ enum FillOutcome {
 /// Shared fully-associative LRU machinery for both designs.
 ///
 /// Besides the per-instance [`PolbStats`] consumed by the simulators, every
-/// event also feeds the process-wide `core.polb.*` telemetry counters
-/// (aggregated across all live POLB instances and both designs); the
-/// handles are resolved once here so the lookup path stays lock-free.
+/// event also feeds a local tally of the process-wide `core.polb.*`
+/// counters (summed over every POLB instance and both designs), which
+/// publishes when the CAM drops, so the lookup path does no atomic.
 #[derive(Clone, Debug)]
 struct Cam {
     entries: Vec<Entry>,
     capacity: usize,
     tick: u64,
     stats: PolbStats,
-    tele_hits: Counter,
-    tele_misses: Counter,
-    tele_fills: Counter,
-    tele_evictions: Counter,
+    tele_hits: LocalCounter,
+    tele_misses: LocalCounter,
+    tele_fills: LocalCounter,
+    tele_evictions: LocalCounter,
 }
 
 impl Cam {
@@ -105,10 +102,10 @@ impl Cam {
             capacity,
             tick: 0,
             stats: PolbStats::default(),
-            tele_hits: registry.counter("core.polb.hits"),
-            tele_misses: registry.counter("core.polb.misses"),
-            tele_fills: registry.counter("core.polb.fills"),
-            tele_evictions: registry.counter("core.polb.evictions"),
+            tele_hits: registry.counter("core.polb.hits").local(),
+            tele_misses: registry.counter("core.polb.misses").local(),
+            tele_fills: registry.counter("core.polb.fills").local(),
+            tele_evictions: registry.counter("core.polb.evictions").local(),
         }
     }
 
@@ -261,10 +258,6 @@ impl TranslationBuffer for PipelinedPolb {
         &self.cam.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.cam.stats = PolbStats::default();
-    }
-
     fn capacity(&self) -> usize {
         self.cam.capacity
     }
@@ -326,10 +319,6 @@ impl TranslationBuffer for ParallelPolb {
 
     fn stats(&self) -> &PolbStats {
         &self.cam.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.cam.stats = PolbStats::default();
     }
 
     fn capacity(&self) -> usize {
@@ -435,13 +424,5 @@ mod tests {
         polb.fill(oid, 0x1000);
         polb.fill(oid, 0x9000); // pool re-mapped
         assert_eq!(polb.translate(oid), Some(0x9000));
-    }
-
-    #[test]
-    fn reset_stats() {
-        let mut polb = ParallelPolb::new(2);
-        let _ = polb.translate(ObjectId::new(pool(1), 0));
-        polb.reset_stats();
-        assert_eq!(polb.stats().lookups(), 0);
     }
 }

@@ -85,8 +85,10 @@ pub struct Pot {
     live: usize,
     walks: u64,
     total_probes: u64,
-    tele_walks: poat_telemetry::Counter,
-    tele_probe_len: poat_telemetry::Histogram,
+    /// Local tallies of the `core.pot.*` series, published on drop (a
+    /// clone starts them at zero, so a copied table never counts twice).
+    tele_walks: poat_telemetry::LocalCounter,
+    tele_probe_len: poat_telemetry::LocalHistogram,
     tele_occupancy: poat_telemetry::Gauge,
 }
 
@@ -109,8 +111,8 @@ impl Pot {
             live: 0,
             walks: 0,
             total_probes: 0,
-            tele_walks: registry.counter("core.pot.walks"),
-            tele_probe_len: registry.histogram("core.pot.probe_len"),
+            tele_walks: registry.counter("core.pot.walks").local(),
+            tele_probe_len: registry.histogram("core.pot.probe_len").local(),
             tele_occupancy,
         }
     }

@@ -82,41 +82,42 @@ pub struct FaultPlan {
     pub record_boundaries: bool,
 }
 
-/// Process-global telemetry handles for the `nvm.device.*` series,
-/// resolved once per device so the access paths stay lock-free. Counters
-/// aggregate across all live devices; see `docs/METRICS.md`.
+/// Local tallies of the process-wide `nvm.device.*` series (summed over
+/// every device; see `docs/METRICS.md`). They publish when the device
+/// drops, so the access paths do no atomic; a cloned device starts them
+/// at zero and publishes only its own accesses.
 #[derive(Clone, Debug)]
 struct DeviceTelemetry {
-    reads: poat_telemetry::Counter,
-    writes: poat_telemetry::Counter,
-    bytes_read: poat_telemetry::Counter,
-    bytes_written: poat_telemetry::Counter,
-    clwbs: poat_telemetry::Counter,
-    fences: poat_telemetry::Counter,
-    crashes: poat_telemetry::Counter,
-    dropped_clwbs: poat_telemetry::Counter,
-    torn_lines: poat_telemetry::Counter,
+    reads: poat_telemetry::LocalCounter,
+    writes: poat_telemetry::LocalCounter,
+    bytes_read: poat_telemetry::LocalCounter,
+    bytes_written: poat_telemetry::LocalCounter,
+    clwbs: poat_telemetry::LocalCounter,
+    fences: poat_telemetry::LocalCounter,
+    crashes: poat_telemetry::LocalCounter,
+    dropped_clwbs: poat_telemetry::LocalCounter,
+    torn_lines: poat_telemetry::LocalCounter,
     frames: poat_telemetry::Gauge,
-    read_bytes_hist: poat_telemetry::Histogram,
-    write_bytes_hist: poat_telemetry::Histogram,
+    read_bytes_hist: poat_telemetry::LocalHistogram,
+    write_bytes_hist: poat_telemetry::LocalHistogram,
 }
 
 impl DeviceTelemetry {
     fn new() -> Self {
         let r = poat_telemetry::global();
         DeviceTelemetry {
-            reads: r.counter("nvm.device.reads"),
-            writes: r.counter("nvm.device.writes"),
-            bytes_read: r.counter("nvm.device.bytes_read"),
-            bytes_written: r.counter("nvm.device.bytes_written"),
-            clwbs: r.counter("nvm.device.clwbs"),
-            fences: r.counter("nvm.device.fences"),
-            crashes: r.counter("nvm.device.crashes"),
-            dropped_clwbs: r.counter("nvm.device.dropped_clwbs"),
-            torn_lines: r.counter("nvm.device.torn_lines"),
+            reads: r.counter("nvm.device.reads").local(),
+            writes: r.counter("nvm.device.writes").local(),
+            bytes_read: r.counter("nvm.device.bytes_read").local(),
+            bytes_written: r.counter("nvm.device.bytes_written").local(),
+            clwbs: r.counter("nvm.device.clwbs").local(),
+            fences: r.counter("nvm.device.fences").local(),
+            crashes: r.counter("nvm.device.crashes").local(),
+            dropped_clwbs: r.counter("nvm.device.dropped_clwbs").local(),
+            torn_lines: r.counter("nvm.device.torn_lines").local(),
             frames: r.gauge("nvm.device.frames_allocated"),
-            read_bytes_hist: r.histogram("nvm.device.read_bytes"),
-            write_bytes_hist: r.histogram("nvm.device.write_bytes"),
+            read_bytes_hist: r.histogram("nvm.device.read_bytes").local(),
+            write_bytes_hist: r.histogram("nvm.device.write_bytes").local(),
         }
     }
 }

@@ -35,7 +35,6 @@ pub struct TranslationUnit {
     pot: Pot,
     page_table: PageTable,
     stats: TranslationStats,
-    walk_timer: poat_telemetry::SpanTimer,
 }
 
 impl std::fmt::Debug for TranslationUnit {
@@ -64,7 +63,6 @@ impl TranslationUnit {
             pot: state.pot.clone(),
             page_table: state.page_table.clone(),
             stats: TranslationStats::default(),
-            walk_timer: poat_telemetry::global().span_timer(poat_telemetry::PHASE_POT_WALK),
         }
     }
 
@@ -90,7 +88,6 @@ impl TranslationUnit {
         // walk charges only the POT-walk share (`fault_penalty_cycles`);
         // the Parallel design's page-table walk runs — and its latency
         // elapses — only once the POT has produced a base to walk from.
-        let _walk_span = self.walk_timer.start();
         let _walk_prof = poat_telemetry::profile::hot_scope("pot_walk");
         self.stats.pot_walks += 1;
         let hit = self.cfg.hit_latency_cycles();

@@ -16,16 +16,14 @@ fn hist_count(name: &str) -> u64 {
 
 #[test]
 fn concurrent_runs_do_not_contaminate_each_others_series() {
-    let timer = poat_telemetry::global().span_timer("scope_conc");
     let barrier = Arc::new(Barrier::new(2));
     let spawn = |label: &'static str, spans: usize| {
-        let timer = timer.clone();
         let barrier = barrier.clone();
         std::thread::spawn(move || {
             let _scope = poat_telemetry::run_scope(label);
             barrier.wait();
             for _ in 0..spans {
-                drop(timer.start());
+                drop(poat_telemetry::global().span("scope_conc"));
             }
         })
     };
@@ -46,19 +44,19 @@ fn concurrent_runs_do_not_contaminate_each_others_series() {
 
 #[test]
 fn scopes_nest_and_restore() {
-    let timer = poat_telemetry::global().span_timer("scope_nest");
+    let span = || drop(poat_telemetry::global().span("scope_nest"));
     {
         let _outer = poat_telemetry::run_scope("outer");
-        drop(timer.start());
+        span();
         {
             let _inner = poat_telemetry::run_scope("inner");
-            drop(timer.start());
+            span();
         }
         // The inner guard restored the outer scope.
-        drop(timer.start());
+        span();
     }
     // No scope: only the unscoped series records.
-    drop(timer.start());
+    span();
 
     assert_eq!(counter("span.scope_nest.count{run=outer}"), 2);
     assert_eq!(counter("span.scope_nest.count{run=inner}"), 1);
