@@ -75,12 +75,7 @@ impl SimResult {
     /// two cannot diverge. Labels must be in a stable order; the harness
     /// uses `artifact`, then workload identifiers, then `design`.
     pub fn publish(&self, labels: &[(&str, &str)]) {
-        let registry = poat_telemetry::global();
-        for (name, value) in self.series() {
-            registry
-                .counter(&poat_telemetry::labeled(name, labels))
-                .add(value);
-        }
+        poat_telemetry::global().add_labeled(&self.series(), labels);
     }
 
     /// Every published quantity under its `sim.result.*` name — the one
