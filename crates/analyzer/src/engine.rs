@@ -87,7 +87,7 @@ fn mark_test_lines(lexed: &Lexed, text: &str) -> Vec<bool> {
         }
         let is_test_attr = match idents.first() {
             Some(&"test") => true,
-            Some(&"cfg") => idents.iter().any(|s| *s == "test"),
+            Some(&"cfg") => idents.contains(&"test"),
             _ => false,
         };
         if !is_test_attr {

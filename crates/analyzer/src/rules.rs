@@ -1372,11 +1372,12 @@ impl Rule for OrderedAtomics {
 /// R10: per-event code holds no shared telemetry handle and reads no
 /// clock. In the simulator and the POLB/POT/`oid_direct`/NVM-device
 /// models, non-test code may not name `Counter`, `Histogram`,
-/// `SpanTimer`, `span_timer` or `Instant`; it counts through the
-/// owner-local `LocalCounter`/`LocalHistogram` tallies instead. The
-/// five translation-model files (`translation_model_path`) may also not
-/// open a `span(..)` or call `counter(..)`/`histogram(..)` without
-/// turning the handle into a tally with `.local()` at once.
+/// `SpanTimer`, `span_timer` or `Instant`, nor call
+/// `counter(..)`/`histogram(..)` without turning the handle into a
+/// tally with `.local()` at once; it counts through the owner-local
+/// `LocalCounter`/`LocalHistogram` tallies instead. The five
+/// translation-model files (`translation_model_path`) may also not open
+/// a `span(..)`: only the cores' replay loops time whole replays.
 pub struct SharedTelemetryInHotPath;
 
 /// Files that model one translation or device access per call: apart
@@ -1417,9 +1418,9 @@ fn closing_paren(toks: &[Tok], open: usize) -> Option<usize> {
     None
 }
 
-/// The shared-registry call a translation-model file makes at token
-/// `i`, if any: a `.span(..)`, or a `.counter(..)`/`.histogram(..)`
-/// not followed at once by `.local()`.
+/// The shared-registry call per-event code makes at token `i`, if any:
+/// a `.span(..)`, or a `.counter(..)`/`.histogram(..)` not followed at
+/// once by `.local()`.
 fn shared_registry_call(toks: &[Tok], i: usize) -> Option<&'static str> {
     let t = &toks[i];
     let method_call =
@@ -1480,12 +1481,14 @@ impl Rule for SharedTelemetryInHotPath {
                         "`{}` in per-event code: count with an owner-local `Counter::local()`/`Histogram::local()` tally and time whole phases with `Registry::span`",
                         t.text
                     )
-                } else if let Some(call) = model.then(|| shared_registry_call(toks, i)).flatten() {
+                } else if let Some(call) =
+                    shared_registry_call(toks, i).filter(|&call| model || call != "span")
+                {
                     if call == "span" {
                         "`span(..)` in translation-model code: every call here is one event; time whole replays with `Registry::span` in the core's replay loop".to_string()
                     } else {
                         format!(
-                            "`{call}(..)` without `.local()` in translation-model code: each use is a shared atomic per event; keep a `{call}(..).local()` tally in the owner"
+                            "`{call}(..)` without `.local()` in per-event code: each use is a shared atomic per event; keep a `{call}(..).local()` tally in the owner"
                         )
                     }
                 } else {

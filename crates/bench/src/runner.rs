@@ -65,6 +65,9 @@ impl BenchOptions {
     }
 }
 
+/// Callback run after each benchmark completes (see [`Runner::on_record`]).
+pub type Progress = Box<dyn FnMut(&BenchRecord)>;
+
 /// Collects [`BenchRecord`]s as benchmarks run; finished with
 /// [`Runner::into_report`].
 pub struct Runner {
@@ -73,7 +76,7 @@ pub struct Runner {
     budgets: Vec<BudgetRecord>,
     filter: Option<String>,
     dry_run: bool,
-    progress: Option<Box<dyn FnMut(&BenchRecord)>>,
+    progress: Option<Progress>,
 }
 
 impl Runner {

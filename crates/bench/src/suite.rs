@@ -374,14 +374,14 @@ fn replay_benches(r: &mut Runner) {
     let ops = run.trace.len() as u64;
     let cfg = SimConfig::default();
     {
-        let (trace, state, cfg) = (run.trace.clone(), run.state.clone(), cfg.clone());
+        let (trace, state) = (run.trace.clone(), run.state.clone());
         r.bench("replay", "inorder_bst_random", ops, move || {
             std::hint::black_box(
                 simulate_inorder(&trace, &state, &cfg).expect("supported core/design combination"),
             );
         });
     }
-    let (trace, state, cfg) = (run.trace, run.state, cfg);
+    let (trace, state) = (run.trace, run.state);
     r.bench("replay", "ooo_bst_random", ops, move || {
         std::hint::black_box(
             simulate_ooo(&trace, &state, &cfg).expect("supported core/design combination"),
@@ -485,7 +485,7 @@ pub fn run_suite(
     mode: &str,
     filter: Option<String>,
     include_budget: bool,
-    progress: Option<Box<dyn FnMut(&crate::report::BenchRecord)>>,
+    progress: Option<crate::runner::Progress>,
 ) -> BenchReport {
     let t0 = Instant::now();
     let mut r = Runner::new(opts);

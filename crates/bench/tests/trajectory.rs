@@ -219,7 +219,7 @@ fn latest_committed_baseline() -> Option<std::path::PathBuf> {
         else {
             continue;
         };
-        if best.as_ref().map_or(true, |(b, _)| n > *b) {
+        if best.as_ref().is_none_or(|(b, _)| n > *b) {
             best = Some((n, entry.path()));
         }
     }

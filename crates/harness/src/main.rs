@@ -522,7 +522,7 @@ fn report_main(args: &Args) -> Result<ExitCode, Fail> {
         .filter(|r| {
             command_filter
                 .as_deref()
-                .map_or(true, |f| r.data.command.contains(f))
+                .is_none_or(|f| r.data.command.contains(f))
         })
         .collect();
     let shown = match last {

@@ -228,7 +228,7 @@ fn an_oversized_length_in_the_ledger_is_a_torn_tail_not_a_panic() {
     let mut fixture = b"POATLGR1".to_vec();
     fixture.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     fixture.extend_from_slice(&1u64.to_le_bytes());
-    fixture.extend_from_slice(&poat_ledger::checksum(&payload).to_le_bytes());
+    fixture.extend_from_slice(&poat_pmem::fnv::fnv1a64(&payload).to_le_bytes());
     fixture.extend_from_slice(&payload);
     assert_eq!(fixture.len(), 41);
 

@@ -49,7 +49,7 @@ fn assert_representations_equivalent(run: &WorkloadRun) {
     ];
     for (core, translation, label) in combos {
         let cfg = SimConfig::with_translation(*translation);
-        let streamed = runner::simulate_with(run, *core, cfg.clone());
+        let streamed = runner::simulate_with(run, *core, cfg);
         let from_vec = match core {
             Core::InOrder => simulate_inorder_ops(materialized.iter().copied(), &run.state, &cfg),
             Core::OutOfOrder => simulate_ooo_ops(materialized.iter().copied(), &run.state, &cfg),
@@ -130,7 +130,7 @@ fn mmap_replay_from_a_real_file_matches_streaming() {
         "unix opens a real mapping"
     );
     let cfg = SimConfig::with_translation(pipelined());
-    let streamed = runner::simulate_with(&run, Core::InOrder, cfg.clone());
+    let streamed = runner::simulate_with(&run, Core::InOrder, cfg);
     let from_mmap = simulate_inorder_ops(
         mapped
             .checked_ops()

@@ -52,6 +52,7 @@ pub mod codec;
 pub mod medium;
 pub mod record;
 
+use poat_pmem::fnv::fnv1a64;
 use poat_telemetry::global;
 
 pub use medium::{FileMedium, Medium, PmemMedium, ReadOnlyMedium};
@@ -65,20 +66,6 @@ pub const FRAME_HEADER_BYTES: u64 = 4 + 8 + 8;
 /// Upper bound on one payload; larger lengths are treated as corruption
 /// (a torn length field must not make the scanner allocate gigabytes).
 pub const MAX_PAYLOAD_BYTES: u32 = 16 << 20;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// FNV-1a 64 over `bytes` — the frame checksum (same digest family the
-/// crash-sweep verifier uses for pool state).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// The little-endian integer in `bytes` (at most eight of them).
 fn le(bytes: &[u8]) -> u64 {
@@ -274,7 +261,7 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
             }
             let mut payload = vec![0u8; payload_len as usize];
             medium.read_at(pos + FRAME_HEADER_BYTES, &mut payload)?;
-            if checksum(&payload) != crc {
+            if fnv1a64(&payload) != crc {
                 break Some("checksum mismatch".to_string());
             }
             match P::decode(&payload) {
@@ -318,7 +305,7 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
         let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES as usize + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(&checksum(&payload).to_le_bytes());
+        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         self.medium.append(&frame)?;
         self.valid_len += frame.len() as u64;

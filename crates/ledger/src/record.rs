@@ -137,7 +137,7 @@ impl RecordData {
             "count" => Some(h.count),
             "sum" => Some(h.sum),
             "max" => Some(h.max),
-            "mean" => Some(if h.count == 0 { 0 } else { h.sum / h.count }),
+            "mean" => Some(h.sum.checked_div(h.count).unwrap_or(0)),
             "p50" => Some(h.p50),
             "p90" => Some(h.p90),
             "p99" => Some(h.p99),

@@ -9,7 +9,8 @@ use std::fmt::Debug;
 
 use poat_ledger::catalog::{CatalogRecord, JobSpec, JobStatus};
 use poat_ledger::codec::{put_varint, Cursor};
-use poat_ledger::{checksum, HistStat, LedgerError, Log, LogPayload, Medium, RecordData};
+use poat_ledger::{HistStat, LedgerError, Log, LogPayload, Medium, RecordData};
+use poat_pmem::fnv::fnv1a64;
 use proptest::prelude::*;
 
 /// A payload under test: a value whose encoding spends one byte per
@@ -84,7 +85,7 @@ fn check_total<P: Fuzzed>(bytes: &[u8]) {
     let mut framed = P::MAGIC.to_vec();
     framed.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     framed.extend_from_slice(&1u64.to_le_bytes());
-    framed.extend_from_slice(&checksum(bytes).to_le_bytes());
+    framed.extend_from_slice(&fnv1a64(bytes).to_le_bytes());
     framed.extend_from_slice(bytes);
     let log = Log::<_, P>::open(Mem(framed)).unwrap();
     let decodes = !bytes.is_empty() && P::decode(bytes).is_ok();

@@ -22,10 +22,8 @@
 use poat_nvm::{BoundaryKind, FaultPlan};
 
 use crate::error::PmemError;
+use crate::fnv::Fnv1a64;
 use crate::runtime::Runtime;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// How a sweep perturbs the persistence stream at the crash point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -259,20 +257,13 @@ pub fn verify_recovery(rt: &mut Runtime) -> Result<Vec<String>, PmemError> {
 pub fn state_digest(rt: &mut Runtime) -> Result<u64, PmemError> {
     let mut ids = rt.open_pool_ids();
     ids.sort();
-    let mut h = FNV_OFFSET;
-    let mix = |h: &mut u64, b: u8| {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    };
+    let mut h = Fnv1a64::default();
     for id in ids {
-        for b in id.raw().to_le_bytes() {
-            mix(&mut h, b);
-        }
-        for b in rt.pool_bytes(id)? {
-            mix(&mut h, b);
-        }
+        h = h
+            .update(&id.raw().to_le_bytes())
+            .update(&rt.pool_bytes(id)?);
     }
-    Ok(h)
+    Ok(h.finish())
 }
 
 #[cfg(test)]

@@ -49,6 +49,7 @@ pub mod alloc;
 pub mod costs;
 pub mod error;
 pub mod faultpoint;
+pub mod fnv;
 pub mod inspect;
 pub mod log;
 #[allow(unsafe_code)]

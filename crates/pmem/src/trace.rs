@@ -495,7 +495,7 @@ impl Trace {
     }
 
     fn encode_exec(data: &mut Vec<u8>, n: u32) -> u8 {
-        if n >= 1 && n <= EXEC_INLINE_MAX {
+        if (1..=EXEC_INLINE_MAX).contains(&n) {
             K_EXEC | ((n as u8) << 3)
         } else {
             put_varint(data, n as u64);

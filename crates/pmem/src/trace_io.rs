@@ -34,6 +34,7 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use crate::fnv::Fnv1a64;
 use crate::mmap::Mapping;
 use crate::trace::{get_varint, put_varint, CheckedOps, Trace, TraceCorruption, TraceOp};
 
@@ -108,18 +109,6 @@ impl From<TraceCorruption> for TraceDecodeError {
     }
 }
 
-/// FNV-1a 64 over the concatenation of `parts`.
-fn fnv1a64(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Writes `trace` in the chunked layout to `out`, one chunk at a time
 /// straight from the trace's columns; returns the bytes written.
 fn write_chunked(
@@ -144,7 +133,11 @@ fn write_chunked(
         put_varint(&mut chunk_header, b.payload_len as u64);
         put_varint(&mut chunk_header, b.prev_va);
         put_varint(&mut chunk_header, b.prev_oid);
-        let checksum = fnv1a64(&[&chunk_header, chunk_tags, chunk_data]);
+        let checksum = Fnv1a64::default()
+            .update(&chunk_header)
+            .update(chunk_tags)
+            .update(chunk_data)
+            .finish();
         chunk_header.extend_from_slice(&checksum.to_le_bytes());
         out.write_all(&chunk_header)?;
         out.write_all(chunk_tags)?;
@@ -316,7 +309,8 @@ impl MmapTrace {
             };
             let tags = &bytes[region.tag_off..region.tag_off + region.ops];
             let data = &bytes[region.payload_off..region.payload_off + region.payload_len];
-            if fnv1a64(&[fields, tags, data]) != checksum {
+            let digest = Fnv1a64::default().update(fields).update(tags).update(data);
+            if digest.finish() != checksum {
                 return Err(TraceDecodeError::ChecksumMismatch(chunk as usize));
             }
             off = region.payload_off + region.payload_len;
@@ -752,7 +746,7 @@ mod tests {
                     "Checksum"
                 }
                 _ => {
-                    bytes.extend(std::iter::repeat(0xAAu8).take(delta as usize % 16 + 1));
+                    bytes.extend(std::iter::repeat_n(0xAAu8, delta as usize % 16 + 1));
                     "TrailingData"
                 }
             };

@@ -118,58 +118,6 @@ impl Cache {
         false
     }
 
-    /// Applies `n` additional hits to `line`, as if [`Cache::access`]
-    /// had been called `n` times in a row — the run-length extension of
-    /// the MRU way hint: a batch of same-line ops costs one model
-    /// update instead of `n`.
-    ///
-    /// Equivalence to `n` sequential hits: each would advance the clock
-    /// by one and refresh the same way's last-use to the new clock,
-    /// touching no other way or set, so `tick += n` + one final
-    /// last-use write + `hits += n` is state-identical. If the line is
-    /// (unexpectedly) not resident, this falls back to `n` sequential
-    /// accesses, so the batched call is *always* equivalent.
-    pub fn access_batched(&mut self, line: u64, n: u64) -> bool {
-        if n == 0 || self.hit_batched(line, n) {
-            return true;
-        }
-        let mut all_hit = true;
-        for _ in 0..n {
-            all_hit &= self.access(line);
-        }
-        all_hit
-    }
-
-    /// Applies `n` hits to `line` in one update **iff** the line is
-    /// resident, returning whether it was. On `false` the cache is left
-    /// completely untouched (no clock advance, no counters), so a caller
-    /// can probe-and-commit: try the batch, and fall back to exact
-    /// sequential accesses without having perturbed any state.
-    pub fn hit_batched(&mut self, line: u64, n: u64) -> bool {
-        if n == 0 {
-            return true;
-        }
-        let idx = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        let set = &mut self.sets[idx];
-        let hint = self.mru[idx] as usize;
-        let hit_at = if matches!(set.get(hint), Some(w) if w.valid && w.tag == tag) {
-            Some(hint)
-        } else {
-            set.iter().position(|w| w.valid && w.tag == tag)
-        };
-        match hit_at {
-            Some(i) => {
-                self.tick += n;
-                set[i].last_use = self.tick;
-                self.mru[idx] = i as u32;
-                self.stats.hits += n;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Installs a line without touching hit/miss counters (prefetch).
     pub fn prefetch(&mut self, line: u64) {
         self.tick += 1;
@@ -259,26 +207,6 @@ impl MemoryHierarchy {
             return latency;
         }
         latency + self.memory_latency
-    }
-
-    /// Applies `n` accesses to the line containing `pa` in one model
-    /// update when the line is L1-resident, returning the *total*
-    /// latency of the batch (`n * l1_latency` on that path). When the
-    /// line is not L1-resident the accesses are replayed individually —
-    /// the batch degenerates to a loop, but the returned total and the
-    /// model state stay exactly equivalent to `n` sequential
-    /// [`MemoryHierarchy::access`] calls, so callers never have to
-    /// reason about residency to stay correct, only to go fast.
-    pub fn access_batched(&mut self, pa: u64, n: u64) -> u64 {
-        let line = pa / 64;
-        if self.l1d.hit_batched(line, n) {
-            return self.l1_latency * n;
-        }
-        let mut total = 0;
-        for _ in 0..n {
-            total += self.access(pa);
-        }
-        total
     }
 
     /// The L1-hit latency (the pipelined, stall-free case).
@@ -451,95 +379,5 @@ mod tests {
         }
         assert_eq!(cache.stats(), reference.stats);
         assert!(reference.stats.hits > 0 && reference.stats.misses > 16);
-    }
-
-    #[test]
-    fn batched_hits_match_sequential_accesses() {
-        // Interleave batched and sequential updates against the
-        // reference model: run-length batching must be state-identical
-        // to n sequential accesses, including when the batched line is
-        // not resident (the fallback path).
-        let cfg = CacheLevelConfig {
-            capacity: 16 * 64,
-            ways: 4,
-            latency: 1,
-        };
-        let mut cache = Cache::new(cfg);
-        let mut reference = ReferenceCache {
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        last_use: 0
-                    };
-                    4
-                ];
-                4
-            ],
-            tick: 0,
-            stats: CacheStats::default(),
-        };
-        let mut x: u64 = 0xC0FE;
-        for i in 0..2_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let line = x % 24; // hot set larger than capacity: misses too
-            let n = x % 7;
-            let got = cache.access_batched(line, n);
-            let mut want = true;
-            for _ in 0..n {
-                want &= reference.access(line);
-            }
-            if n > 0 {
-                assert_eq!(got, want, "batch {i} diverged");
-            }
-            // A plain access in between keeps the interleaving honest.
-            assert_eq!(cache.access(line ^ 1), reference.access(line ^ 1));
-        }
-        assert_eq!(cache.stats(), reference.stats);
-    }
-
-    #[test]
-    fn failed_hit_batch_leaves_the_cache_untouched() {
-        let cfg = CacheLevelConfig {
-            capacity: 4 * 64,
-            ways: 4,
-            latency: 1,
-        };
-        let mut c = Cache::new(cfg);
-        c.access(1);
-        let before = c.stats();
-        assert!(!c.hit_batched(2, 5), "line 2 was never brought in");
-        assert_eq!(c.stats(), before, "failed probe must not count");
-        assert!(c.access(1), "line 1 must still be resident and MRU-intact");
-    }
-
-    #[test]
-    fn hierarchy_batched_access_matches_sequential() {
-        // The batched hierarchy access must return the same total
-        // latency and leave identical state as n sequential accesses,
-        // resident or not (the miss path goes through the real access
-        // loop, prefetches included).
-        let mut a = hierarchy();
-        let mut b = hierarchy();
-        let mut x: u64 = 0xFACE;
-        for i in 0..2_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let pa = (x % 512) * 64 + (x % 64);
-            let n = x % 5;
-            let got = a.access_batched(pa, n);
-            let mut want = 0;
-            for _ in 0..n {
-                want += b.access(pa);
-            }
-            assert_eq!(got, want, "batch {i} diverged");
-            assert_eq!(a.access(pa ^ 0x40), b.access(pa ^ 0x40));
-        }
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.prefetches(), b.prefetches());
     }
 }

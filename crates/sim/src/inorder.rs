@@ -22,9 +22,8 @@
 //!   adds nothing (and skips the TLB, since the POLB holds physical
 //!   frames); a miss stalls for the combined POT + page-table walk.
 
-use poat_core::VirtAddr;
 use poat_pmem::{MachineState, Trace, TraceOp};
-use poat_telemetry::events::{self, EventKind, TraceDesign};
+use poat_telemetry::events::EventKind;
 use poat_telemetry::profile;
 
 use crate::cache::MemoryHierarchy;
@@ -32,54 +31,7 @@ use crate::config::SimConfig;
 use crate::pagemap::PageMap;
 use crate::result::{SimError, SimResult};
 use crate::tlb::Tlb;
-use crate::xlate::{TranslateOutcome, TranslationUnit};
-
-/// Replays a coalesced run of `n` same-line plain `Load`/`Store` ops
-/// (all `dep: None`): the leading op takes the exact per-op path, and
-/// the remaining `n - 1` are guaranteed TLB + L1 hits — the page and
-/// line are resident because the leading access allocates on miss (see
-/// the `batching` gate in [`simulate_inorder_ops`]) — applied as one
-/// run-length batched model update each instead of `n - 1` scans.
-#[allow(clippy::too_many_arguments)]
-fn flush_plain_run(
-    va: VirtAddr,
-    is_store: bool,
-    n: u64,
-    cycles: &mut u64,
-    complete: &mut Vec<u64>,
-    tlb: &mut Tlb,
-    hier: &mut MemoryHierarchy,
-    pmap: &PageMap,
-    tlb_miss_penalty: u64,
-    l1: u64,
-) {
-    let _mem_prof = profile::hot_scope("cache_tlb");
-    *cycles += 1;
-    if !tlb.access(va.raw()) {
-        *cycles += tlb_miss_penalty;
-    }
-    let pa = pmap.phys_of(va);
-    let lat = hier.access(pa);
-    if is_store {
-        // Stores retire through the store buffer: the pipe does not
-        // wait for the cache.
-        complete.push(*cycles);
-    } else {
-        *cycles += lat - l1.min(lat);
-        complete.push(*cycles + l1);
-    }
-    let m = n - 1;
-    if m > 0 {
-        let _tlb_hit = tlb.access_batched(va.raw(), m);
-        let _total = hier.access_batched(pa, m);
-        debug_assert!(_tlb_hit, "page resident after the leading access");
-        debug_assert_eq!(_total, m * l1, "line L1-resident after the leading access");
-        for _ in 0..m {
-            *cycles += 1;
-            complete.push(if is_store { *cycles } else { *cycles + l1 });
-        }
-    }
-}
+use crate::xlate::TranslationUnit;
 
 /// Replays `trace` on the in-order core, returning cycle and event counts.
 ///
@@ -112,18 +64,6 @@ pub fn simulate_inorder_ops(
     state: &MachineState,
     cfg: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    simulate_inorder_ops_impl(ops, state, cfg, true)
-}
-
-/// The actual model; `enable_batching` exists so the equivalence test can
-/// replay the same trace with and without run-length batching and require
-/// bit-identical results — production callers always pass `true`.
-fn simulate_inorder_ops_impl(
-    ops: impl IntoIterator<Item = TraceOp>,
-    state: &MachineState,
-    cfg: &SimConfig,
-    enable_batching: bool,
-) -> Result<SimResult, SimError> {
     let _replay_span = poat_telemetry::global().span(poat_telemetry::PHASE_TRACE_REPLAY);
     let mut hier = MemoryHierarchy::new(&cfg.mem);
     let mut tlb = Tlb::new(cfg.mem.dtlb_entries);
@@ -132,11 +72,6 @@ fn simulate_inorder_ops_impl(
     let l1 = cfg.mem.l1d.latency;
     let hit_extra = cfg.translation.hit_latency_cycles();
     let parallel_design = matches!(cfg.translation.design, poat_core::PolbDesign::Parallel);
-    let tdesign = if parallel_design {
-        TraceDesign::Parallel
-    } else {
-        TraceDesign::Pipelined
-    };
 
     let mut ops = ops.into_iter();
     // Completion (value-ready) time of each op, for load-to-use stalls.
@@ -146,44 +81,6 @@ fn simulate_inorder_ops_impl(
 
     let mut cycles: u64 = 0;
     let mut instructions: u64 = 0;
-
-    // Run-length batching of plain same-line `Load`/`Store` ops with no
-    // dependence: after the run's leading access, the line is L1-resident
-    // and its page is TLB-resident (both allocate on miss), so the rest of
-    // the run is provably `n - 1` hits — one batched model update instead
-    // of `n - 1` scans (`flush_plain_run`). Two degenerate geometries
-    // break that residency guarantee and disable batching: a zero-entry
-    // TLB (nothing is ever resident), and a single-set L1 with next-line
-    // prefetch on (the prefetch triggered by the leading miss can evict
-    // the run's own line).
-    let batching = enable_batching
-        && cfg.mem.dtlb_entries > 0
-        && !(cfg.mem.next_line_prefetch && cfg.mem.l1d.sets() <= 1);
-    let mut run: Option<(VirtAddr, bool, u64)> = None;
-    let mut batch_runs: u64 = 0;
-    let mut batch_ops: u64 = 0;
-    macro_rules! flush_run {
-        () => {
-            if let Some((rva, rstore, n)) = run.take() {
-                if n > 1 {
-                    batch_runs += 1;
-                    batch_ops += n - 1;
-                }
-                flush_plain_run(
-                    rva,
-                    rstore,
-                    n,
-                    &mut cycles,
-                    &mut complete,
-                    &mut tlb,
-                    &mut hier,
-                    &pmap,
-                    cfg.mem.tlb_miss_penalty,
-                    l1,
-                );
-            }
-        };
-    }
 
     loop {
         // One sampling decision per replayed op, shared by the decode pull
@@ -195,28 +92,6 @@ fn simulate_inorder_ops_impl(
         }) else {
             break;
         };
-        if batching {
-            if let TraceOp::Load { va, dep: None } | TraceOp::Store { va, dep: None } = op {
-                let is_store = matches!(op, TraceOp::Store { .. });
-                instructions += 1;
-                match &mut run {
-                    Some((rva, rstore, n))
-                        if *rstore == is_store && rva.raw() / 64 == va.raw() / 64 =>
-                    {
-                        *n += 1;
-                    }
-                    _ => {
-                        flush_run!();
-                        run = Some((va, is_store, 1));
-                    }
-                }
-                continue;
-            }
-            // Anything else (a dep-carrying access, an nvld/nvst, exec,
-            // branch, clwb, fence) ends the run before it is replayed, so
-            // program order — and every `complete` index — is preserved.
-            flush_run!();
-        }
         instructions += op.instructions();
         let dep = match op {
             TraceOp::Load { dep, .. }
@@ -243,18 +118,7 @@ fn simulate_inorder_ops_impl(
                 let mut value_latency = l1;
                 let is_nv = matches!(op, TraceOp::NvLoad { .. });
                 if let TraceOp::NvLoad { oid, .. } = op {
-                    events::begin_access(
-                        EventKind::NvLoad,
-                        tdesign,
-                        instructions,
-                        cycles,
-                        oid.pool_raw(),
-                    );
-                    let _xlate_prof = profile::hot_scope("xlate");
-                    let extra = match xlate.translate(oid, va) {
-                        TranslateOutcome::Ok { extra_cycles }
-                        | TranslateOutcome::Fault { extra_cycles } => extra_cycles,
-                    };
+                    let extra = xlate.issue(EventKind::NvLoad, instructions, cycles, oid, va);
                     if extra > hit_extra {
                         // POLB miss: the POT walk stalls the pipe.
                         cycles += extra;
@@ -266,7 +130,7 @@ fn simulate_inorder_ops_impl(
                 let _mem_prof = profile::hot_scope("cache_tlb");
                 // The Parallel POLB holds physical frames, so an nvld
                 // hit skips the TLB.
-                if !(is_nv && parallel_design) && !tlb.access(va.raw()) {
+                if !(is_nv && parallel_design || tlb.access(va.raw())) {
                     cycles += cfg.mem.tlb_miss_penalty;
                 }
                 let lat = hier.access(pmap.phys_of(va));
@@ -281,24 +145,13 @@ fn simulate_inorder_ops_impl(
                 }
                 let is_nv = matches!(op, TraceOp::NvStore { .. });
                 if let TraceOp::NvStore { oid, .. } = op {
-                    events::begin_access(
-                        EventKind::NvStore,
-                        tdesign,
-                        instructions,
-                        cycles,
-                        oid.pool_raw(),
-                    );
-                    let _xlate_prof = profile::hot_scope("xlate");
-                    let extra = match xlate.translate(oid, va) {
-                        TranslateOutcome::Ok { extra_cycles }
-                        | TranslateOutcome::Fault { extra_cycles } => extra_cycles,
-                    };
+                    let extra = xlate.issue(EventKind::NvStore, instructions, cycles, oid, va);
                     // Store addresses are buffered; only a POLB *miss*
                     // stalls (the POT walk blocks address generation).
                     cycles += extra.saturating_sub(hit_extra);
                 }
                 let _mem_prof = profile::hot_scope("cache_tlb");
-                if !(is_nv && parallel_design) && !tlb.access(va.raw()) {
+                if !(is_nv && parallel_design || tlb.access(va.raw())) {
                     cycles += cfg.mem.tlb_miss_penalty;
                 }
                 // Stores retire through the store buffer: the cache is
@@ -314,13 +167,6 @@ fn simulate_inorder_ops_impl(
             TraceOp::Fence => cycles += 1,
         }
         complete.push(done);
-    }
-    flush_run!();
-
-    if batch_runs > 0 {
-        let registry = poat_telemetry::global();
-        registry.counter("sim.batch.runs").add(batch_runs);
-        registry.counter("sim.batch.batched_ops").add(batch_ops);
     }
 
     // The scalar in-order pipe executes in program order; stores
@@ -339,7 +185,7 @@ fn simulate_inorder_ops_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use poat_core::{PolbDesign, TranslationConfig};
+    use poat_core::{PolbDesign, TranslationConfig, VirtAddr};
     use poat_pmem::{Runtime, RuntimeConfig, TranslationMode};
 
     fn tiny_workload(mode: TranslationMode) -> (Trace, MachineState) {
@@ -501,67 +347,6 @@ mod tests {
         t.push(TraceOp::Fence);
         let r = simulate_inorder(&t, &state, &SimConfig::default()).unwrap();
         assert_eq!(r.cycles, 100 + 1);
-    }
-
-    #[test]
-    fn run_length_batching_is_cycle_exact() {
-        // Replaying with run-length batching on must be bit-identical to
-        // replaying with it off, across synthetic run-heavy traces and a
-        // real software-translation workload (whose translation-table
-        // lookups are exactly the plain same-line load runs the batcher
-        // targets). Dependencies that reach *into* a batched run check
-        // the per-op completion times the flush reconstructs.
-        let (sw_trace, sw_state) = tiny_workload(TranslationMode::Software);
-
-        let base = 0x4000_0000_0000u64;
-        let mut synth = Trace::new();
-        let mut last = None;
-        for i in 0..200u64 {
-            let line = base + (i / 7) * 64;
-            let va = VirtAddr::new(line + (i % 8) * 8);
-            last = Some(match i % 11 {
-                0..=4 => synth.push(TraceOp::Load { va, dep: None }),
-                5 | 6 => synth.push(TraceOp::Store { va, dep: None }),
-                7 => synth.push(TraceOp::Load { va, dep: last }),
-                8 => synth.push(TraceOp::Exec { n: 3 }),
-                9 => synth.push(TraceOp::Branch {
-                    mispredicted: i % 22 == 9,
-                }),
-                _ => synth.push(TraceOp::Fence),
-            });
-        }
-        // A long pure run, then a dependent load reaching into it.
-        let mut runs = Trace::new();
-        let va = VirtAddr::new(base);
-        let mut mid = 0;
-        for i in 0..50 {
-            let id = runs.push(TraceOp::Load { va, dep: None });
-            if i == 25 {
-                mid = id;
-            }
-        }
-        runs.push(TraceOp::Load {
-            va: VirtAddr::new(base + 8192),
-            dep: Some(mid),
-        });
-        for _ in 0..50 {
-            runs.push(TraceOp::Store { va, dep: None });
-        }
-
-        let cfg = SimConfig::default();
-        let mut prefetch_cfg = SimConfig::default();
-        prefetch_cfg.mem.next_line_prefetch = true;
-        for (trace, state) in [
-            (&sw_trace, &sw_state),
-            (&synth, &sw_state),
-            (&runs, &sw_state),
-        ] {
-            for cfg in [&cfg, &prefetch_cfg] {
-                let batched = simulate_inorder_ops_impl(trace.ops(), state, cfg, true).unwrap();
-                let plain = simulate_inorder_ops_impl(trace.ops(), state, cfg, false).unwrap();
-                assert_eq!(batched, plain, "batching changed the model");
-            }
-        }
     }
 
     #[test]

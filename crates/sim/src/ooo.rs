@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 
 use poat_core::PolbDesign;
 use poat_pmem::{MachineState, Trace, TraceOp};
-use poat_telemetry::events::{self, EventKind, TraceDesign};
+use poat_telemetry::events::EventKind;
 use poat_telemetry::profile;
 
 use crate::cache::MemoryHierarchy;
@@ -32,7 +32,7 @@ use crate::config::SimConfig;
 use crate::pagemap::PageMap;
 use crate::result::{SimError, SimResult};
 use crate::tlb::Tlb;
-use crate::xlate::{TranslateOutcome, TranslationUnit};
+use crate::xlate::TranslationUnit;
 
 /// Replays `trace` on the out-of-order core.
 ///
@@ -162,6 +162,21 @@ pub fn simulate_ooo_ops(
             .unwrap_or(0);
         let start = (disp_cycle + 1).max(dep_ready);
 
+        // An nvld/nvst translates in address generation (§4.4): a POLB
+        // miss blocks dispatch for the POT walk.
+        let extra = match op {
+            TraceOp::NvLoad { oid, va, .. } => {
+                xlate.issue(EventKind::NvLoad, instructions, start, oid, va)
+            }
+            TraceOp::NvStore { oid, va, .. } => {
+                xlate.issue(EventKind::NvStore, instructions, start, oid, va)
+            }
+            _ => 0,
+        };
+        if extra > hit_extra {
+            dispatch_block = dispatch_block.max(start + extra);
+        }
+
         // Execute.
         let done = match op {
             // `saturating_sub` guards the degenerate zero-width batch a
@@ -175,7 +190,7 @@ pub fn simulate_ooo_ops(
                 }
                 done
             }
-            TraceOp::Load { va, .. } => {
+            TraceOp::Load { va, .. } | TraceOp::NvLoad { va, .. } => {
                 let _mem_prof = profile::hot_scope("cache_tlb");
                 let t = if tlb.access(va.raw()) {
                     0
@@ -185,55 +200,9 @@ pub fn simulate_ooo_ops(
                 // Store-to-load forwarding: a queued store to the same
                 // word supplies the data without a cache access — the
                 // hierarchy (counters and LRU state) is only touched on
-                // the non-forwarded path.
-                let fwd = sq.iter().rev().find(|&&(_, w, _)| w == va.raw() / 8);
-                match fwd {
-                    Some(&(_, _, data_ready)) => {
-                        forwarded += 1;
-                        start.max(data_ready) + 1
-                    }
-                    None => start + t + hier.access(pmap.phys_of(va)),
-                }
-            }
-            TraceOp::Store { va, .. } => {
-                let _mem_prof = profile::hot_scope("cache_tlb");
-                let t = if tlb.access(va.raw()) {
-                    0
-                } else {
-                    cfg.mem.tlb_miss_penalty
-                };
-                hier.access(pmap.phys_of(va));
-                start + t + cfg.mem.l1d.latency
-            }
-            TraceOp::NvLoad { oid, va, .. } => {
-                events::begin_access(
-                    EventKind::NvLoad,
-                    TraceDesign::Pipelined,
-                    instructions,
-                    start,
-                    oid.pool_raw(),
-                );
-                let extra = {
-                    let _xlate_prof = profile::hot_scope("xlate");
-                    match xlate.translate(oid, va) {
-                        TranslateOutcome::Ok { extra_cycles }
-                        | TranslateOutcome::Fault { extra_cycles } => extra_cycles,
-                    }
-                };
-                if extra > hit_extra {
-                    // POLB miss: the POT walk blocks address generation.
-                    dispatch_block = dispatch_block.max(start + extra);
-                }
-                let _mem_prof = profile::hot_scope("cache_tlb");
-                let t = if tlb.access(va.raw()) {
-                    0
-                } else {
-                    cfg.mem.tlb_miss_penalty
-                };
-                // After translation the LSQ holds a virtual address, so
-                // forwarding works across instruction kinds (§4.4). As
-                // with regular loads, a forwarded nvld must not touch the
-                // cache hierarchy.
+                // the non-forwarded path. After translation the LSQ holds
+                // a virtual address, so forwarding works across
+                // instruction kinds (§4.4).
                 let fwd = sq.iter().rev().find(|&&(_, w, _)| w == va.raw() / 8);
                 match fwd {
                     Some(&(_, _, data_ready)) => {
@@ -243,24 +212,7 @@ pub fn simulate_ooo_ops(
                     None => start + extra + t + hier.access(pmap.phys_of(va)),
                 }
             }
-            TraceOp::NvStore { oid, va, .. } => {
-                events::begin_access(
-                    EventKind::NvStore,
-                    TraceDesign::Pipelined,
-                    instructions,
-                    start,
-                    oid.pool_raw(),
-                );
-                let extra = {
-                    let _xlate_prof = profile::hot_scope("xlate");
-                    match xlate.translate(oid, va) {
-                        TranslateOutcome::Ok { extra_cycles }
-                        | TranslateOutcome::Fault { extra_cycles } => extra_cycles,
-                    }
-                };
-                if extra > hit_extra {
-                    dispatch_block = dispatch_block.max(start + extra);
-                }
+            TraceOp::Store { va, .. } | TraceOp::NvStore { va, .. } => {
                 let _mem_prof = profile::hot_scope("cache_tlb");
                 let t = if tlb.access(va.raw()) {
                     0
@@ -466,59 +418,47 @@ mod tests {
     }
 
     #[test]
-    fn forwarded_load_leaves_cache_untouched() {
-        // A forwarded load gets its data from the store queue, so it must
-        // not inflate hit/miss counters or touch cache LRU state: the
-        // store-only trace and the store+forwarded-load trace see
-        // identical cache statistics.
-        let state = machine();
-        let cfg = SimConfig::default();
-        let va = VirtAddr::new(0x2000_0000_0000);
-
-        let mut store_only = Trace::new();
-        store_only.push(TraceOp::Store { va, dep: None });
-        let r_store = simulate_ooo(&store_only, &state, &cfg).unwrap();
-        assert_eq!(r_store.store_forwards, 0);
-
-        let mut with_load = Trace::new();
-        with_load.push(TraceOp::Store { va, dep: None });
-        with_load.push(TraceOp::Load { va, dep: None });
-        let r_fwd = simulate_ooo(&with_load, &state, &cfg).unwrap();
-        assert_eq!(r_fwd.store_forwards, 1, "the load must forward");
-        assert_eq!(
-            r_fwd.cache, r_store.cache,
-            "forwarded load perturbed the cache"
-        );
-    }
-
-    #[test]
-    fn forwarded_nvload_leaves_cache_untouched() {
-        // Same property through the nvld path: an nvst to a word followed
-        // by an nvld of it forwards, and the nvld leaves the hierarchy
-        // exactly as the store-only run left it.
+    fn stores_forward_to_loads_of_every_kind() {
+        // After translation the LSQ holds virtual addresses, so a queued
+        // store forwards to a later load of the same word whatever their
+        // kinds (§4.4), `nvst` to a regular load included (§4.3). The
+        // forwarded load takes its data from the store queue: the cache
+        // hierarchy (counters and LRU state) ends as the store alone left
+        // it, and the load finishes before the same load replayed cold.
         let mut rt = Runtime::new(RuntimeConfig::opt());
         let pool = rt.pool_create("p", 1 << 16).unwrap();
         let oid = rt.pmalloc(pool, 64).unwrap();
-        let r = rt.deref(oid, None).unwrap();
-        rt.take_trace();
-        rt.write_u64_at(&r, 0, 7).unwrap(); // nvst
+        let va = rt.deref(oid, None).unwrap().va();
         let state = rt.machine_state();
-        let store_only = rt.trace().clone();
-        let mut with_load = store_only.clone();
-        let _ = rt.take_trace();
-        with_load.push(TraceOp::NvLoad {
-            oid,
-            va: r.va(),
-            dep: None,
-        });
         let cfg = SimConfig::default();
-        let r_store = simulate_ooo(&store_only, &state, &cfg).unwrap();
-        let r_fwd = simulate_ooo(&with_load, &state, &cfg).unwrap();
-        assert_eq!(r_fwd.store_forwards, 1, "the nvld must forward");
-        assert_eq!(
-            r_fwd.cache, r_store.cache,
-            "forwarded nvld perturbed the cache"
-        );
+        let stores = [
+            ("Store", TraceOp::Store { va, dep: None }),
+            ("NvStore", TraceOp::NvStore { oid, va, dep: None }),
+        ];
+        let loads = [
+            ("Load", TraceOp::Load { va, dep: None }),
+            ("NvLoad", TraceOp::NvLoad { oid, va, dep: None }),
+        ];
+        for (store_kind, store) in stores {
+            let store_only = simulate_ooo_ops([store], &state, &cfg).unwrap();
+            assert_eq!(store_only.store_forwards, 0);
+            for (load_kind, load) in loads {
+                let row = format!("{store_kind} -> {load_kind}");
+                let fwd = simulate_ooo_ops([store, load], &state, &cfg).unwrap();
+                let cold = simulate_ooo_ops([load], &state, &cfg).unwrap();
+                assert_eq!(fwd.store_forwards, 1, "{row}: the load must forward");
+                assert_eq!(
+                    fwd.cache, store_only.cache,
+                    "{row}: the forwarded load touched the cache"
+                );
+                assert!(
+                    fwd.cycles < cold.cycles,
+                    "{row}: {} !< cold {}",
+                    fwd.cycles,
+                    cold.cycles
+                );
+            }
+        }
     }
 
     #[test]
@@ -550,35 +490,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r3.instructions, 4);
-    }
-
-    #[test]
-    fn nvst_forwards_to_regular_load() {
-        // §4.4: because the LSQ holds post-translation virtual addresses,
-        // an nvst can forward its data to a regular load of the same word.
-        let mut rt = Runtime::new(RuntimeConfig::opt());
-        let pool = rt.pool_create("p", 1 << 16).unwrap();
-        let oid = rt.pmalloc(pool, 64).unwrap();
-        let r = rt.deref(oid, None).unwrap();
-        let va = r.va();
-        rt.take_trace();
-        rt.write_u64_at(&r, 0, 42).unwrap(); // nvst
-        let state = rt.machine_state();
-        let mut t = rt.take_trace();
-        t.push(TraceOp::Load { va, dep: None }); // regular load, same word
-        let res = simulate_ooo(&t, &state, &SimConfig::default()).unwrap();
-        assert_eq!(res.store_forwards, 1, "cross-kind forwarding must fire");
-
-        // Without the store in flight, the cold load pays the full miss.
-        let mut t2 = Trace::new();
-        t2.push(TraceOp::Load { va, dep: None });
-        let res2 = simulate_ooo(&t2, &state, &SimConfig::default()).unwrap();
-        assert!(
-            res.cycles < res2.cycles,
-            "{} !< {}",
-            res.cycles,
-            res2.cycles
-        );
     }
 
     #[test]

@@ -86,57 +86,6 @@ impl Tlb {
         false
     }
 
-    /// Applies `n` additional hits to the page containing `va`, as if
-    /// [`Tlb::access`] had been called `n` times in a row — the
-    /// run-length extension of the MRU fast path: a batch of same-page
-    /// ops costs one model update instead of `n`.
-    ///
-    /// Equivalence to `n` sequential MRU hits: each would advance the
-    /// clock by one and refresh the same entry's last-use to the new
-    /// clock, touching nothing else, so `tick += n` + one final
-    /// last-use write + `hits += n` is state-identical. If the page is
-    /// (unexpectedly) not resident, this falls back to `n` sequential
-    /// accesses, so the batched call is *always* equivalent.
-    pub fn access_batched(&mut self, va: u64, n: u64) -> bool {
-        if n == 0 || self.hit_batched(va, n) {
-            return true;
-        }
-        let mut all_hit = true;
-        for _ in 0..n {
-            all_hit &= self.access(va);
-        }
-        all_hit
-    }
-
-    /// Applies `n` hits to the page containing `va` in one update
-    /// **iff** the page is resident, returning whether it was. On
-    /// `false` the TLB is left completely untouched (no clock advance,
-    /// no counters), so a caller can probe-and-commit: try the batch,
-    /// and fall back to exact sequential accesses without having
-    /// perturbed any state.
-    pub fn hit_batched(&mut self, va: u64, n: u64) -> bool {
-        if n == 0 {
-            return true;
-        }
-        let page = va >> 12;
-        // Fast path: the MRU hint (or a full scan) finds the page.
-        let hit_at = if matches!(self.entries.get(self.mru), Some((p, _)) if *p == page) {
-            Some(self.mru)
-        } else {
-            self.entries.iter().position(|(p, _)| *p == page)
-        };
-        match hit_at {
-            Some(i) => {
-                self.tick += n;
-                self.entries[i].1 = self.tick;
-                self.mru = i;
-                self.stats.hits += n;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Counters.
     pub fn stats(&self) -> TlbStats {
         self.stats
@@ -236,39 +185,5 @@ mod tests {
         }
         assert_eq!(tlb.stats(), reference.stats);
         assert!(reference.stats.hits > 0 && reference.stats.misses > 8);
-    }
-
-    #[test]
-    fn batched_hits_match_sequential_accesses() {
-        // Interleave batched and sequential updates against the
-        // reference model: run-length batching must be state-identical
-        // to n sequential accesses, including when the batched page is
-        // not resident (the fallback path).
-        let mut tlb = Tlb::new(8);
-        let mut reference = ReferenceTlb {
-            entries: Vec::new(),
-            capacity: 8,
-            tick: 0,
-            stats: TlbStats::default(),
-        };
-        let mut x: u64 = 0xB5AD;
-        for i in 0..2_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let va = (x % 16) * 4096 + (x % 4096);
-            let n = x % 7;
-            let got = tlb.access_batched(va, n);
-            let mut want = true;
-            for _ in 0..n {
-                want &= reference.access(va);
-            }
-            if n > 0 {
-                assert_eq!(got, want, "batch {i} diverged");
-            }
-            // A plain access in between keeps the interleaving honest.
-            assert_eq!(tlb.access(va ^ 0x7000), reference.access(va ^ 0x7000));
-        }
-        assert_eq!(tlb.stats(), reference.stats);
     }
 }

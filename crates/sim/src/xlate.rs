@@ -9,7 +9,8 @@ use poat_core::polb::{ParallelPolb, PipelinedPolb, TranslationBuffer};
 use poat_core::{ObjectId, PolbDesign, Pot, TranslationConfig, TranslationStats, VirtAddr};
 use poat_nvm::PageTable;
 use poat_pmem::MachineState;
-use poat_telemetry::events::{self, EventKind};
+use poat_telemetry::events::{self, EventKind, TraceDesign};
+use poat_telemetry::profile;
 
 /// Outcome of translating one ObjectID.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,6 +72,31 @@ impl TranslationUnit {
         self.cfg.design
     }
 
+    /// Issues one `nvld` or `nvst` (`kind`) at `cycle`, the core's
+    /// `instr`-th instruction: records the access event, translates in
+    /// the `xlate` profile scope and returns the added latency. A fault
+    /// costs the walk that discovered it, like a successful translation.
+    pub(crate) fn issue(
+        &mut self,
+        kind: EventKind,
+        instr: u64,
+        cycle: u64,
+        oid: ObjectId,
+        va: VirtAddr,
+    ) -> u64 {
+        let design = match self.cfg.design {
+            PolbDesign::Pipelined => TraceDesign::Pipelined,
+            PolbDesign::Parallel => TraceDesign::Parallel,
+        };
+        events::begin_access(kind, design, instr, cycle, oid.pool_raw());
+        let _xlate_prof = profile::hot_scope("xlate");
+        match self.translate(oid, va) {
+            TranslateOutcome::Ok { extra_cycles } | TranslateOutcome::Fault { extra_cycles } => {
+                extra_cycles
+            }
+        }
+    }
+
     /// Translates `oid`, whose runtime-recorded virtual address is `va`
     /// (used by the Parallel refill path to find the physical frame).
     pub fn translate(&mut self, oid: ObjectId, va: VirtAddr) -> TranslateOutcome {
@@ -88,7 +114,7 @@ impl TranslationUnit {
         // walk charges only the POT-walk share (`fault_penalty_cycles`);
         // the Parallel design's page-table walk runs — and its latency
         // elapses — only once the POT has produced a base to walk from.
-        let _walk_prof = poat_telemetry::profile::hot_scope("pot_walk");
+        let _walk_prof = profile::hot_scope("pot_walk");
         self.stats.pot_walks += 1;
         let hit = self.cfg.hit_latency_cycles();
         let fault_extra = hit + self.cfg.fault_penalty_cycles();

@@ -44,9 +44,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Which translation hardware (or software path) produced an event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceDesign {
     /// No simulator context was active (e.g. direct unit-test calls).
+    #[default]
     Unknown,
     /// The Pipelined POLB design (pool id → virtual base, Figure 6a).
     Pipelined,
@@ -54,12 +55,6 @@ pub enum TraceDesign {
     Parallel,
     /// The software `oid_direct` baseline (`crates/pmem/src/translate.rs`).
     Software,
-}
-
-impl Default for TraceDesign {
-    fn default() -> Self {
-        TraceDesign::Unknown
-    }
 }
 
 impl TraceDesign {
@@ -387,7 +382,7 @@ impl EventRecorder {
         pool: u32,
     ) -> AccessCtx {
         let n = self.issues.fetch_add(1, Ordering::Relaxed);
-        let sampled = self.sample <= 1 || n % self.sample == 0;
+        let sampled = self.sample <= 1 || n.is_multiple_of(self.sample);
         if sampled {
             self.record(kind, design, instr, cycle, pool, 0);
         }

@@ -17,7 +17,7 @@ const CAPACITY: usize = 1024;
 /// `arg = k & 0xFFFFF`, `kind` alternating by `k`. Any event assembled
 /// from two different writes breaks at least one of those equations.
 fn kind_for(k: u64) -> EventKind {
-    if k % 2 == 0 {
+    if k.is_multiple_of(2) {
         EventKind::PolbHit
     } else {
         EventKind::PolbMiss

@@ -23,6 +23,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --offline
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> cargo clippy (all targets, warnings are errors)"
+cargo clippy --workspace --all-targets --locked --offline -- -D warnings
+
 echo "==> poat-analyze (architectural invariants, see docs/ANALYZER.md)"
 cargo run -p poat-analyzer --bin poat-analyze --locked --offline -- --deny-warnings
 # Machine-readable findings artifact for downstream CI consumers (a
