@@ -5,9 +5,16 @@
 //! latencies down to the hitting level, plus main memory on a full miss
 //! (3 / 11 / 38 / 158 cycles with the Table 4 defaults).
 //!
+//! Each set is an LRU stack in the sense of Mattson et al., "Evaluation
+//! Techniques for Storage Hierarchies" (IBM Systems Journal, 1970): its
+//! tags are kept in recency order, most recently used first. An LRU
+//! set's contents depend only on that order, so no access timestamp is
+//! kept: the common hit is one compare against the front slot, and the
+//! victim on a miss is always the last slot.
+//!
 //! `access` runs once per replayed memory op, so its host cost bounds
-//! replay throughput: the `memory/cache_*` benchmarks pin both the MRU
-//! way-hint hit path and the full miss/evict path in the committed
+//! replay throughput: the `memory/cache_*` benchmarks pin both the
+//! front-of-set hit path and the full miss/evict path in the committed
 //! `BENCH_<n>.json` baseline (docs/BENCHMARKS.md).
 
 use crate::config::{CacheLevelConfig, MemoryConfig};
@@ -33,23 +40,44 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    last_use: u64,
+/// Looks `key` up in `run`, a recency-ordered run of keys (most recently
+/// used first), and returns whether it was there. A hit moves the key to
+/// the front. A miss installs it at the front and drops the last slot:
+/// an empty one while the run fills, and the LRU key after that. Keys are
+/// non-zero, since 0 marks an empty slot; so empty slots only ever trail
+/// the filled ones.
+#[inline]
+pub(crate) fn lru_touch(run: &mut [u64], key: u64) -> bool {
+    if run.first() == Some(&key) {
+        return true;
+    }
+    match run.iter().position(|&k| k == key) {
+        Some(i) => {
+            run[..=i].rotate_right(1);
+            true
+        }
+        None => {
+            if let Some(last) = run.last_mut() {
+                *last = key;
+                run.rotate_right(1);
+            }
+            false
+        }
+    }
 }
 
 /// One set-associative, true-LRU cache level.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: Vec<Vec<Way>>,
-    tick: u64,
+    /// Set-major tags: set `s` owns `tags[s * ways..][..ways]`, a
+    /// [`lru_touch`] run. A stored tag is the line's tag + 1, so 0 marks
+    /// an empty slot.
+    tags: Vec<u64>,
+    ways: usize,
+    /// log2 of the set count: the set index is the line's low bits and
+    /// the tag the rest.
+    set_bits: u32,
     stats: CacheStats,
-    /// Per-set index of the most recently touched way. Purely a lookup
-    /// accelerator for the dominant same-line-again case: a stale hint is
-    /// harmless because the full-scan path below stays authoritative.
-    mru: Vec<u32>,
 }
 
 impl Cache {
@@ -57,84 +85,52 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not yield at least one set.
+    /// Panics if the geometry does not yield at least one set, or if the
+    /// set count is not a power of two.
     pub fn new(cfg: CacheLevelConfig) -> Self {
         let sets = cfg.sets();
         assert!(sets > 0, "cache must have at least one set");
+        assert!(
+            sets.is_power_of_two(),
+            "cache set count must be a power of two, got {sets}"
+        );
+        let ways = cfg.ways as usize;
         Cache {
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        last_use: 0
-                    };
-                    cfg.ways as usize
-                ];
-                sets as usize
-            ],
-            tick: 0,
+            tags: vec![0; sets as usize * ways],
+            ways,
+            set_bits: sets.trailing_zeros(),
             stats: CacheStats::default(),
-            mru: vec![0; sets as usize],
         }
     }
 
-    /// Accesses the line with number `line` (address / 64); returns whether
-    /// it hit, allocating it on a miss.
+    /// The recency-ordered set that line number `line` maps to, and the
+    /// tag it is stored under there.
+    fn set_of(&mut self, line: u64) -> (&mut [u64], u64) {
+        let idx = (line & ((1 << self.set_bits) - 1)) as usize;
+        let tag = (line >> self.set_bits) + 1;
+        (&mut self.tags[idx * self.ways..][..self.ways], tag)
+    }
+
+    /// Accesses the line with number `line` (address / 64, so below
+    /// 2^58); returns whether it hit, allocating it on a miss.
     pub fn access(&mut self, line: u64) -> bool {
-        self.tick += 1;
-        let idx = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        let set = &mut self.sets[idx];
-        // MRU fast path: the way this set hit last time.
-        let hint = self.mru[idx] as usize;
-        if let Some(w) = set.get_mut(hint) {
-            if w.valid && w.tag == tag {
-                w.last_use = self.tick;
-                self.stats.hits += 1;
-                return true;
-            }
-        }
-        if let Some((i, w)) = set
-            .iter_mut()
-            .enumerate()
-            .find(|(_, w)| w.valid && w.tag == tag)
-        {
-            w.last_use = self.tick;
-            self.mru[idx] = i as u32;
+        let (set, tag) = self.set_of(line);
+        let hit = lru_touch(set, tag);
+        if hit {
             self.stats.hits += 1;
-            return true;
+        } else {
+            self.stats.misses += 1;
         }
-        self.stats.misses += 1;
-        let (i, victim) = set
-            .iter_mut()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.last_use } else { 0 })
-            .expect("invariant: associativity >= 1, so every set has a way");
-        victim.tag = tag;
-        victim.valid = true;
-        victim.last_use = self.tick;
-        self.mru[idx] = i as u32;
-        false
+        hit
     }
 
-    /// Installs a line without touching hit/miss counters (prefetch).
+    /// Installs a line without touching hit/miss counters (prefetch). A
+    /// line that is already present keeps its place in the recency order.
     pub fn prefetch(&mut self, line: u64) {
-        self.tick += 1;
-        let idx = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        let set = &mut self.sets[idx];
-        if set.iter().any(|w| w.valid && w.tag == tag) {
-            return;
+        let (set, tag) = self.set_of(line);
+        if !set.contains(&tag) {
+            lru_touch(set, tag);
         }
-        let tick = self.tick;
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_use } else { 0 })
-            .expect("invariant: associativity >= 1, so every set has a way");
-        victim.tag = tag;
-        victim.valid = true;
-        victim.last_use = tick;
     }
 
     /// Counters.
@@ -303,8 +299,15 @@ mod tests {
         assert_eq!(h.stats().l1d.hits, 0);
     }
 
-    /// Plain linear-scan true-LRU with no MRU way hint: the semantics
-    /// `Cache` must preserve.
+    #[derive(Clone, Copy)]
+    struct Way {
+        tag: u64,
+        valid: bool,
+        last_use: u64,
+    }
+
+    /// Timestamped linear-scan true-LRU with `%`/`/` set indexing: the
+    /// semantics the recency-ordered `Cache` must preserve.
     struct ReferenceCache {
         sets: Vec<Vec<Way>>,
         tick: u64,
@@ -312,72 +315,149 @@ mod tests {
     }
 
     impl ReferenceCache {
-        fn access(&mut self, line: u64) -> bool {
-            self.tick += 1;
-            let idx = (line % self.sets.len() as u64) as usize;
-            let tag = line / self.sets.len() as u64;
-            let set = &mut self.sets[idx];
-            if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-                w.last_use = self.tick;
-                self.stats.hits += 1;
-                return true;
+        fn new(cfg: CacheLevelConfig) -> Self {
+            let way = Way {
+                tag: 0,
+                valid: false,
+                last_use: 0,
+            };
+            ReferenceCache {
+                sets: vec![vec![way; cfg.ways as usize]; cfg.sets() as usize],
+                tick: 0,
+                stats: CacheStats::default(),
             }
-            self.stats.misses += 1;
+        }
+
+        /// The set `line` maps to and its tag there.
+        fn set_of(&mut self, line: u64) -> (&mut Vec<Way>, u64) {
+            let n = self.sets.len() as u64;
+            (&mut self.sets[(line % n) as usize], line / n)
+        }
+
+        /// Fills the LRU way (an invalid way first) with `tag`.
+        fn install(set: &mut [Way], tag: u64, tick: u64) {
             let victim = set
                 .iter_mut()
                 .min_by_key(|w| if w.valid { w.last_use } else { 0 })
                 .unwrap();
-            victim.tag = tag;
-            victim.valid = true;
-            victim.last_use = self.tick;
+            *victim = Way {
+                tag,
+                valid: true,
+                last_use: tick,
+            };
+        }
+
+        fn access(&mut self, line: u64) -> bool {
+            self.tick += 1;
+            let tick = self.tick;
+            let (set, tag) = self.set_of(line);
+            if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+                w.last_use = tick;
+                self.stats.hits += 1;
+                return true;
+            }
+            Self::install(set, tag, tick);
+            self.stats.misses += 1;
             false
+        }
+
+        fn prefetch(&mut self, line: u64) {
+            self.tick += 1;
+            let tick = self.tick;
+            let (set, tag) = self.set_of(line);
+            if !set.iter().any(|w| w.valid && w.tag == tag) {
+                Self::install(set, tag, tick);
+            }
+        }
+    }
+
+    /// A line stream for a `sets` × `ways` cache: line-local runs, a hot
+    /// group of four sets with more distinct lines than ways (fills, hits
+    /// at every depth of the stack, LRU evictions), and scattered lines.
+    fn line_stream(sets: u64, ways: u64, n: u64, seed: u64) -> impl Iterator<Item = u64> {
+        let mut x = seed;
+        (0..n).map(move |i| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            match i % 4 {
+                0 | 1 => i / 9,
+                2 => (x >> 33) % 4 + sets * ((x >> 40) % (2 * ways + 1)),
+                _ => (x >> 20) % (1 << 30),
+            }
+        })
+    }
+
+    #[test]
+    fn recency_stack_matches_reference_lru() {
+        // The three Table 4 levels (64×8, 512×8, 8192×16 sets × ways), a
+        // direct-mapped cache and a fully associative one. Every
+        // per-access outcome must match.
+        for (sets, ways) in [(64, 8), (512, 8), (8192, 16), (64, 1), (1, 8)] {
+            let cfg = CacheLevelConfig {
+                capacity: sets * ways * 64,
+                ways: ways as u32,
+                latency: 1,
+            };
+            let mut cache = Cache::new(cfg);
+            let mut reference = ReferenceCache::new(cfg);
+            for (i, line) in line_stream(sets, ways, 20_000, 0xDEAD).enumerate() {
+                assert_eq!(
+                    cache.access(line),
+                    reference.access(line),
+                    "{sets}x{ways}: access {i} diverged"
+                );
+            }
+            assert_eq!(cache.stats(), reference.stats, "{sets}x{ways}");
+            let s = reference.stats;
+            assert!(s.hits > 1000 && s.misses > 1000, "{sets}x{ways}: {s:?}");
         }
     }
 
     #[test]
-    fn mru_fast_path_matches_reference_lru() {
-        // 4 sets × 4 ways, hammered with a mix of line-local runs, a hot
-        // working set larger than one set, and scattered lines: exercises
-        // the hint hit, hint misses that still hit on scan, fills, and
-        // LRU evictions. Every per-access outcome must match.
-        let cfg = CacheLevelConfig {
-            capacity: 16 * 64,
-            ways: 4,
-            latency: 1,
+    fn prefetching_hierarchy_matches_reference_lru() {
+        // `MemoryHierarchy::access` with next-line prefetch, against the
+        // same walk over three reference levels. The hot group aims at
+        // four L2 sets, so it misses L1 and L2 and hits in L3.
+        let mem = MemoryConfig {
+            next_line_prefetch: true,
+            ..MemoryConfig::default()
         };
-        let mut cache = Cache::new(cfg);
-        let mut reference = ReferenceCache {
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        last_use: 0
-                    };
-                    4
-                ];
-                4
-            ],
-            tick: 0,
-            stats: CacheStats::default(),
-        };
-        let mut x: u64 = 0xDEAD;
-        for i in 0..10_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let line = match i % 4 {
-                0 | 1 => i / 9,     // line-local runs
-                2 => x % 24,        // hot set bigger than capacity
-                _ => x % (1 << 20), // scattered
-            };
-            assert_eq!(
-                cache.access(line),
-                reference.access(line),
-                "access {i} diverged"
-            );
+        let mut h = MemoryHierarchy::new(&mem);
+        let mut levels = [mem.l1d, mem.l2, mem.l3].map(|c| (ReferenceCache::new(c), c.latency));
+        let mut prefetches = 0;
+        for (i, line) in line_stream(512, 8, 40_000, 0xBEEF).enumerate() {
+            let mut expected = 0;
+            let mut served = false;
+            for level in 0..3 {
+                expected += levels[level].1;
+                if levels[level].0.access(line) {
+                    served = true;
+                    break;
+                }
+                if level == 0 {
+                    prefetches += 1;
+                    levels.iter_mut().for_each(|(c, _)| c.prefetch(line + 1));
+                }
+            }
+            if !served {
+                expected += mem.memory_latency;
+            }
+            assert_eq!(h.access(line * 64), expected, "access {i} diverged");
         }
-        assert_eq!(cache.stats(), reference.stats);
-        assert!(reference.stats.hits > 0 && reference.stats.misses > 16);
+        let [l1d, l2, l3] = levels.map(|(c, _)| c.stats);
+        assert_eq!(h.stats(), HierarchyStats { l1d, l2, l3 });
+        assert_eq!(h.prefetches(), prefetches);
+        assert!(l1d.hits > 0 && l2.hits > 0 && l3.hits > 0 && l3.misses > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_set_count_is_rejected() {
+        Cache::new(CacheLevelConfig {
+            capacity: 3 * 8 * 64,
+            ways: 8,
+            latency: 1,
+        });
     }
 }

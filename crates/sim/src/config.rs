@@ -16,7 +16,9 @@ pub struct CacheLevelConfig {
 }
 
 impl CacheLevelConfig {
-    /// Number of sets for 64-byte lines.
+    /// Number of sets for 64-byte lines. [`crate::cache::Cache::new`]
+    /// requires a power of two, since the set index is the line number's
+    /// low bits; Table 4's levels have 64, 512 and 8,192.
     pub fn sets(&self) -> u64 {
         self.capacity / 64 / self.ways as u64
     }

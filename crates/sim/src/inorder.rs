@@ -27,6 +27,7 @@ use poat_telemetry::events::EventKind;
 use poat_telemetry::profile;
 
 use crate::cache::MemoryHierarchy;
+use crate::completion::CompletionWindow;
 use crate::config::SimConfig;
 use crate::pagemap::PageMap;
 use crate::result::{SimError, SimResult};
@@ -52,9 +53,10 @@ pub fn simulate_inorder(
 
 /// Replays any stream of [`TraceOp`]s on the in-order core.
 ///
-/// The ops are consumed one at a time — the model never materializes the
-/// stream, so replay memory is O(ops) only for the per-op completion
-/// times (8 B each), not the ops themselves.
+/// The ops are consumed one at a time and the model never materializes
+/// the stream. Completion times are kept only while a later dependence
+/// could still stall on them, so replay memory does not grow with the
+/// stream's length.
 ///
 /// # Errors
 ///
@@ -74,10 +76,11 @@ pub fn simulate_inorder_ops(
     let parallel_design = matches!(cfg.translation.design, poat_core::PolbDesign::Parallel);
 
     let mut ops = ops.into_iter();
-    // Completion (value-ready) time of each op, for load-to-use stalls.
-    // Grown as the stream is consumed; a dep outside the recorded range
-    // (or on a non-memory op) reads as ready-at-zero.
-    let mut complete: Vec<u64> = Vec::with_capacity(ops.size_hint().0);
+    // Completion (value-ready) times, for load-to-use stalls. Every read
+    // is `cycles.max(..)` after the reader's own `cycles += 1`, so the
+    // cycle count after an op is the window's floor. A non-memory op
+    // reads as ready-at-zero.
+    let mut complete = CompletionWindow::new();
 
     let mut cycles: u64 = 0;
     let mut instructions: u64 = 0;
@@ -113,7 +116,7 @@ pub fn simulate_inorder_ops(
                 cycles += 1;
                 // Address generation waits for the producing load.
                 if let Some(d) = dep {
-                    cycles = cycles.max(complete.get(d as usize).copied().unwrap_or(0));
+                    cycles = cycles.max(complete.get(d));
                 }
                 let mut value_latency = l1;
                 let is_nv = matches!(op, TraceOp::NvLoad { .. });
@@ -141,7 +144,7 @@ pub fn simulate_inorder_ops(
             TraceOp::Store { va, .. } | TraceOp::NvStore { va, .. } => {
                 cycles += 1;
                 if let Some(d) = dep {
-                    cycles = cycles.max(complete.get(d as usize).copied().unwrap_or(0));
+                    cycles = cycles.max(complete.get(d));
                 }
                 let is_nv = matches!(op, TraceOp::NvStore { .. });
                 if let TraceOp::NvStore { oid, .. } = op {
@@ -166,7 +169,7 @@ pub fn simulate_inorder_ops(
             }
             TraceOp::Fence => cycles += 1,
         }
-        complete.push(done);
+        complete.push(done, cycles);
     }
 
     // The scalar in-order pipe executes in program order; stores

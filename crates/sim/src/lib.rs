@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub(crate) mod completion;
 pub mod config;
 pub mod inorder;
 pub mod ooo;

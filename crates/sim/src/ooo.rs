@@ -28,6 +28,7 @@ use poat_telemetry::events::EventKind;
 use poat_telemetry::profile;
 
 use crate::cache::MemoryHierarchy;
+use crate::completion::CompletionWindow;
 use crate::config::SimConfig;
 use crate::pagemap::PageMap;
 use crate::result::{SimError, SimResult};
@@ -53,9 +54,10 @@ pub fn simulate_ooo(
 
 /// Replays any stream of [`TraceOp`]s on the out-of-order core.
 ///
-/// The ops are consumed one at a time — the model never materializes the
-/// stream, so replay memory is O(ops) only for the per-op completion
-/// times (8 B each), not the ops themselves.
+/// The ops are consumed one at a time and the model never materializes
+/// the stream. Completion times are kept only while a later dependence
+/// could still wait on them (about one ROB of ops), so replay memory
+/// does not grow with the stream's length.
 ///
 /// # Errors
 ///
@@ -84,19 +86,17 @@ pub fn simulate_ooo_ops(
     let hit_extra = cfg.translation.hit_latency_cycles();
 
     let mut ops = ops.into_iter();
-    // Completion time of each op, for dependency resolution. Grown as the
-    // stream is consumed; a dep outside the recorded range reads as
-    // ready-at-zero.
-    let mut complete: Vec<u64> = Vec::with_capacity(ops.size_hint().0);
+    // Completion times, for dependency resolution. Every read is
+    // `(disp_cycle + 1).max(..)` and dispatch never moves back, so the
+    // dispatch cycle + 1 of an op is the window's floor.
+    let mut complete = CompletionWindow::new();
 
     let mut slot: u64 = 0; // next free dispatch slot (cycle * width + lane)
     let mut dispatch_block: u64 = 0; // earliest cycle dispatch may resume
     let mut rob: VecDeque<(u64, u32)> = VecDeque::new(); // (retire cycle, entries)
     let mut rob_occ: u32 = 0;
     let mut lq: VecDeque<u64> = VecDeque::new();
-    // Store queue: (retire cycle, word address, data-ready cycle) — the
-    // word address enables store-to-load forwarding.
-    let mut sq: VecDeque<(u64, u64, u64)> = VecDeque::new();
+    let mut sq = StoreQueue::new();
     let mut forwarded: u64 = 0;
     let mut last_retire: u64 = 0;
     let mut last_mem_complete: u64 = 0;
@@ -139,11 +139,7 @@ pub fn simulate_ooo_ops(
         }
         if is_store {
             while sq.len() >= sq_size {
-                dispatch_block = dispatch_block.max(
-                    sq.pop_front()
-                        .expect("invariant: sq.len() >= sq_size >= 1 inside the loop")
-                        .0,
-                );
+                dispatch_block = dispatch_block.max(sq.pop_front());
             }
         }
 
@@ -157,9 +153,7 @@ pub fn simulate_ooo_ops(
             | TraceOp::NvStore { dep, .. } => dep,
             _ => None,
         };
-        let dep_ready = dep
-            .map(|d| complete.get(d as usize).copied().unwrap_or(0))
-            .unwrap_or(0);
+        let dep_ready = dep.map_or(0, |d| complete.get(d));
         let start = (disp_cycle + 1).max(dep_ready);
 
         // An nvld/nvst translates in address generation (§4.4): a POLB
@@ -203,9 +197,8 @@ pub fn simulate_ooo_ops(
                 // the non-forwarded path. After translation the LSQ holds
                 // a virtual address, so forwarding works across
                 // instruction kinds (§4.4).
-                let fwd = sq.iter().rev().find(|&&(_, w, _)| w == va.raw() / 8);
-                match fwd {
-                    Some(&(_, _, data_ready)) => {
+                match sq.forward(va.raw() / 8) {
+                    Some(data_ready) => {
                         forwarded += 1;
                         start.max(data_ready) + extra + 1
                     }
@@ -234,7 +227,7 @@ pub fn simulate_ooo_ops(
             }
         };
 
-        complete.push(done);
+        complete.push(done, disp_cycle + 1);
         if op.is_memory() || matches!(op, TraceOp::Clwb { .. }) {
             last_mem_complete = last_mem_complete.max(done);
         }
@@ -250,7 +243,7 @@ pub fn simulate_ooo_ops(
                 TraceOp::Store { va, .. } | TraceOp::NvStore { va, .. } => va.raw() / 8,
                 _ => unreachable!("is_store implies a store op"),
             };
-            sq.push_back((last_retire, word, done));
+            sq.push(last_retire, word, done);
         }
     }
 
@@ -264,10 +257,68 @@ pub fn simulate_ooo_ops(
     })
 }
 
+/// Buckets in the store queue's presence filter.
+const SQ_BUCKETS: usize = 256;
+
+/// The store queue: the last `sq_size` stores, oldest first, as (retire
+/// cycle, word address, data-ready cycle). The word address enables
+/// store-to-load forwarding.
+struct StoreQueue {
+    entries: VecDeque<(u64, u64, u64)>,
+    /// Queued stores per word-address bucket. A bucket at 0 proves that
+    /// no queued store holds the word, so most loads skip the scan.
+    present: [u32; SQ_BUCKETS],
+}
+
+impl StoreQueue {
+    fn new() -> Self {
+        StoreQueue {
+            entries: VecDeque::new(),
+            present: [0; SQ_BUCKETS],
+        }
+    }
+
+    /// Fibonacci hashing: the top bits of `word` × 2^64/φ.
+    fn bucket(word: u64) -> usize {
+        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SQ_BUCKETS.trailing_zeros())) as usize
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn push(&mut self, retire: u64, word: u64, data_ready: u64) {
+        self.present[Self::bucket(word)] += 1;
+        self.entries.push_back((retire, word, data_ready));
+    }
+
+    /// Frees the oldest entry; returns its retire cycle.
+    fn pop_front(&mut self) -> u64 {
+        let (retire, word, _) = self
+            .entries
+            .pop_front()
+            .expect("invariant: only called while sq.len() >= sq_size >= 1");
+        self.present[Self::bucket(word)] -= 1;
+        retire
+    }
+
+    /// The data-ready cycle of the youngest queued store to `word`.
+    fn forward(&self, word: u64) -> Option<u64> {
+        if self.present[Self::bucket(word)] == 0 {
+            return None;
+        }
+        self.entries
+            .iter()
+            .rev()
+            .find(|&&(_, w, _)| w == word)
+            .map(|&(_, _, data_ready)| data_ready)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inorder::simulate_inorder;
+    use crate::inorder::{simulate_inorder, simulate_inorder_ops};
     use poat_core::{TranslationConfig, VirtAddr};
     use poat_pmem::{Runtime, RuntimeConfig, TranslationMode};
 
@@ -490,6 +541,39 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r3.instructions, 4);
+    }
+
+    #[test]
+    fn dependence_across_zero_length_filler_is_exact() {
+        // A cold load, 1000 empty `Exec` ops (a raw stream: `Trace::push`
+        // drops them), then a load that depends on the first. Neither
+        // core's clock moves across the filler, so the first load's
+        // completion time must survive it on both: a history of a fixed
+        // number of ops would lose it.
+        let state = machine();
+        let cfg = SimConfig::default();
+        let va = VirtAddr::new(0x2000_0000_0000);
+        let first = TraceOp::Load { va, dep: None };
+        let last = TraceOp::Load { va, dep: Some(0) };
+        let padded = || {
+            std::iter::once(first)
+                .chain(std::iter::repeat_n(TraceOp::Exec { n: 0 }, 1000))
+                .chain(std::iter::once(last))
+        };
+        let independent = TraceOp::Load { va, dep: None };
+
+        let inorder = simulate_inorder_ops([first, last], &state, &cfg).unwrap();
+        assert_eq!(
+            simulate_inorder_ops(padded(), &state, &cfg).unwrap(),
+            inorder
+        );
+        let without_dep = simulate_inorder_ops([first, independent], &state, &cfg).unwrap();
+        assert!(inorder.cycles > without_dep.cycles, "the dependence stalls");
+
+        let ooo = simulate_ooo_ops([first, last], &state, &cfg).unwrap();
+        assert_eq!(simulate_ooo_ops(padded(), &state, &cfg).unwrap(), ooo);
+        let without_dep = simulate_ooo_ops([first, independent], &state, &cfg).unwrap();
+        assert!(ooo.cycles > without_dep.cycles, "the dependence stalls");
     }
 
     #[test]

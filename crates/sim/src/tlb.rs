@@ -1,9 +1,15 @@
 //! Data TLB model: fully associative, true-LRU over 4 KB page numbers.
 //!
+//! The entries are an LRU stack (Mattson et al., 1970), most recently
+//! used page first, so a repeat of the last page is one compare and the
+//! victim on a miss is always the last entry.
+//!
 //! `access` runs once per replayed memory op, so its host cost bounds
-//! replay throughput: the `memory/tlb_*` benchmarks pin both the MRU
-//! entry-hint hit path and the full-scan miss path in the committed
+//! replay throughput: the `memory/tlb_*` benchmarks pin both the
+//! front-entry hit path and the full-scan miss path in the committed
 //! `BENCH_<n>.json` baseline (docs/BENCHMARKS.md).
+
+use crate::cache::lru_touch;
 
 /// Hit/miss counters for the TLB.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -18,72 +24,30 @@ pub struct TlbStats {
 /// charged by the core models).
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    entries: Vec<(u64, u64)>, // (page number, last use)
-    capacity: usize,
-    tick: u64,
+    /// Page numbers + 1 in a [`lru_touch`] run, so 0 marks a free entry.
+    pages: Vec<u64>,
     stats: TlbStats,
-    /// Index of the most recently touched entry. Purely a lookup
-    /// accelerator: memory accesses repeat pages heavily, so the common
-    /// case resolves without scanning the whole (64-entry) array. Any
-    /// stale value is harmless — the slow path below is the authority.
-    mru: usize,
 }
 
 impl Tlb {
     /// Creates a TLB with `entries` slots.
     pub fn new(entries: usize) -> Self {
         Tlb {
-            entries: Vec::with_capacity(entries),
-            capacity: entries,
-            tick: 0,
+            pages: vec![0; entries],
             stats: TlbStats::default(),
-            mru: 0,
         }
     }
 
     /// Looks up the page containing virtual address `va`; returns whether
     /// the translation hit, installing it on a miss.
     pub fn access(&mut self, va: u64) -> bool {
-        self.tick += 1;
-        let page = va >> 12;
-        let tick = self.tick;
-        // MRU fast path: same page as the previous access.
-        if let Some(e) = self.entries.get_mut(self.mru) {
-            if e.0 == page {
-                e.1 = tick;
-                self.stats.hits += 1;
-                return true;
-            }
-        }
-        if let Some((i, e)) = self
-            .entries
-            .iter_mut()
-            .enumerate()
-            .find(|(_, (p, _))| *p == page)
-        {
-            e.1 = tick;
-            self.mru = i;
+        let hit = lru_touch(&mut self.pages, (va >> 12) + 1);
+        if hit {
             self.stats.hits += 1;
-            return true;
-        }
-        self.stats.misses += 1;
-        if self.capacity == 0 {
-            return false;
-        }
-        if self.entries.len() < self.capacity {
-            self.entries.push((page, tick));
-            self.mru = self.entries.len() - 1;
         } else {
-            let (i, victim) = self
-                .entries
-                .iter_mut()
-                .enumerate()
-                .min_by_key(|(_, (_, t))| *t)
-                .expect("invariant: capacity > 0, checked in new()");
-            *victim = (page, tick);
-            self.mru = i;
+            self.stats.misses += 1;
         }
-        false
+        hit
     }
 
     /// Counters.
@@ -130,8 +94,8 @@ mod tests {
         assert!(!tlb.access(0x1000));
     }
 
-    /// Plain linear-scan true-LRU, with no MRU fast path: the semantics
-    /// `Tlb` must preserve.
+    /// Timestamped linear-scan true-LRU: the semantics the
+    /// recency-ordered `Tlb` must preserve.
     struct ReferenceTlb {
         entries: Vec<(u64, u64)>,
         capacity: usize,
@@ -160,30 +124,42 @@ mod tests {
     }
 
     #[test]
-    fn mru_fast_path_matches_reference_lru() {
-        // A page-local access pattern with periodic strides and revisits:
-        // exercises the fast path, fills, LRU evictions, and re-touches
-        // of evicted pages. Every per-access outcome must match.
-        let mut tlb = Tlb::new(8);
-        let mut reference = ReferenceTlb {
-            entries: Vec::new(),
-            capacity: 8,
-            tick: 0,
-            stats: TlbStats::default(),
-        };
-        let mut x: u64 = 0x9E37;
-        for i in 0..10_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let va = match i % 4 {
-                0 | 1 => (i / 7) * 4096 + (x % 4096), // page-local runs
-                2 => (x % 16) * 4096,                 // 16 hot pages over 8 slots
-                _ => x % (1 << 30),                   // scattered
+    fn recency_stack_matches_reference_lru() {
+        // The Table 4 TLB (64 entries), a small one and a single entry,
+        // under page-local runs with periodic strides and revisits: fills,
+        // hits at every depth, LRU evictions, and re-touches of evicted
+        // pages. Every per-access outcome must match.
+        for capacity in [64, 8, 1] {
+            let mut tlb = Tlb::new(capacity);
+            let mut reference = ReferenceTlb {
+                entries: Vec::new(),
+                capacity,
+                tick: 0,
+                stats: TlbStats::default(),
             };
-            assert_eq!(tlb.access(va), reference.access(va), "access {i} diverged");
+            let hot = 2 * capacity as u64;
+            let mut x: u64 = 0x9E37;
+            for i in 0..20_000u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let va = match i % 4 {
+                    0 | 1 => (i / 7) * 4096 + (x % 4096), // page-local runs
+                    2 => ((x >> 33) % hot) * 4096,        // hot pages over the slots
+                    _ => x % (1 << 30),                   // scattered
+                };
+                assert_eq!(
+                    tlb.access(va),
+                    reference.access(va),
+                    "{capacity} entries: access {i} diverged"
+                );
+            }
+            assert_eq!(tlb.stats(), reference.stats, "{capacity} entries");
+            let s = reference.stats;
+            assert!(
+                s.hits > 1000 && s.misses > 1000,
+                "{capacity} entries: {s:?}"
+            );
         }
-        assert_eq!(tlb.stats(), reference.stats);
-        assert!(reference.stats.hits > 0 && reference.stats.misses > 8);
     }
 }
