@@ -45,6 +45,7 @@
 
 pub mod addr;
 pub mod config;
+pub mod hash;
 pub mod oid;
 pub mod polb;
 pub mod pot;

@@ -379,8 +379,13 @@ fn write_trace(path: &str) -> Result<(), Fail> {
 }
 
 /// Renders the span-tree profile: one row per path (indented by depth),
-/// self vs total time, and per-invocation self-time percentiles.
-fn profile_text(snap: &poat_telemetry::profile::ProfileSnapshot) -> String {
+/// self vs total time, and per-invocation self-time percentiles. A line
+/// under the table sets the root spans' total against the run's
+/// `elapsed` time, so time that no span covers shows.
+fn profile_text(
+    snap: &poat_telemetry::profile::ProfileSnapshot,
+    elapsed: std::time::Duration,
+) -> String {
     let mut t = TextTable::new(
         "Span-tree profile (wall-clock; self excludes children; ns percentiles per invocation)",
         &[
@@ -400,7 +405,14 @@ fn profile_text(snap: &poat_telemetry::profile::ProfileSnapshot) -> String {
             p.self_p99.to_string(),
         ]);
     }
-    t.render()
+    let elapsed_ms = elapsed.as_secs_f64() * 1e3;
+    format!(
+        "{}root spans (summed over threads) cover {:.2} of {:.2} ms elapsed ({:.1}%)\n",
+        t.render(),
+        root_total as f64 / 1e6,
+        elapsed_ms,
+        100.0 * root_total as f64 / 1e6 / elapsed_ms.max(1e-6)
+    )
 }
 
 /// Parses a `--diff` operand: a `run000007`-style id or a bare
@@ -1019,7 +1031,7 @@ fn artifact_main(artifact: &str, args: &Args) -> Result<ExitCode, Fail> {
         poat_telemetry::profile::set_enabled(false);
         let snap = poat_telemetry::profile::snapshot();
         snap.publish(poat_telemetry::global());
-        snap
+        (snap, started.elapsed())
     });
 
     let (snapshot, run_id) = finish_run(args, artifact, scale, started)?;
@@ -1034,11 +1046,11 @@ fn artifact_main(artifact: &str, args: &Args) -> Result<ExitCode, Fail> {
     if !phases.is_empty() {
         println!("{phases}");
     }
-    if let Some(prof) = &profile_snap {
+    if let Some((prof, profiled)) = &profile_snap {
         if prof.is_empty() {
             eprintln!("profile: nothing recorded (no profiled scopes ran)");
         } else {
-            println!("{}", profile_text(prof));
+            println!("{}", profile_text(prof, *profiled));
             let (self_sum, root_total) = (prof.total_self_nanos(), prof.root_total_nanos());
             eprintln!(
                 "profile: self-times cover {self_sum} of {root_total} root ns ({:.3}%)",

@@ -14,8 +14,7 @@
 //!   the adversarial-but-realistic model that write-ahead undo logging must
 //!   tolerate (paper §2.1.4).
 
-use std::collections::{BTreeSet, HashMap};
-
+use poat_core::hash::{IntMap, IntSet};
 use poat_core::{PhysAddr, CACHE_LINE_BYTES, PAGE_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -146,14 +145,14 @@ impl DeviceTelemetry {
 pub struct NvmDevice {
     capacity: u64,
     /// Current (volatile-domain) contents, sparse by frame number.
-    current: HashMap<u64, Page>,
+    current: IntMap<u64, Page>,
     /// Durable image, sparse by frame number. Pages absent here but present
     /// in `current` were never persisted at all.
-    durable: HashMap<u64, Page>,
+    durable: IntMap<u64, Page>,
     /// Lines written since they were last persisted.
-    dirty_lines: BTreeSet<u64>,
+    dirty_lines: IntSet<u64>,
     /// Lines `clwb`ed since the last fence, with the snapshotted contents.
-    pending_lines: HashMap<u64, [u8; LINE]>,
+    pending_lines: IntMap<u64, [u8; LINE]>,
     /// Frame allocator: bump pointer plus free list.
     next_frame: u64,
     free_frames: Vec<u64>,
@@ -178,10 +177,10 @@ impl NvmDevice {
         let capacity = capacity_bytes.div_ceil(PAGE_BYTES) * PAGE_BYTES;
         NvmDevice {
             capacity,
-            current: HashMap::new(),
-            durable: HashMap::new(),
-            dirty_lines: BTreeSet::new(),
-            pending_lines: HashMap::new(),
+            current: IntMap::default(),
+            durable: IntMap::default(),
+            dirty_lines: IntSet::default(),
+            pending_lines: IntMap::default(),
             next_frame: 0,
             free_frames: Vec::new(),
             plan: FaultPlan::default(),
@@ -450,9 +449,9 @@ impl NvmDevice {
         let mut rng = StdRng::seed_from_u64(seed);
         // Unfenced clwb'ed lines: in-flight; may or may not complete. The
         // lines are visited in address order so the outcome is a function of
-        // (contents, seed) alone — hash-map iteration order must not leak
-        // into the durable image, or crash replay would not be bit-for-bit
-        // reproducible across processes.
+        // (contents, seed) alone — hash-set iteration order must not leak
+        // into the durable image, or a crash seed would not name the same
+        // outcome across builds (`crash-sweep --replay`).
         let mut pending: Vec<(u64, [u8; LINE])> = std::mem::take(&mut self.pending_lines)
             .into_iter()
             .collect();
@@ -463,8 +462,10 @@ impl NvmDevice {
         // Dirty lines: may have been evicted at any point, carrying the
         // then-current contents. We conservatively use the latest contents;
         // an eviction of intermediate contents is indistinguishable to
-        // recovery code that only reads whole committed records.
-        let dirty: Vec<u64> = std::mem::take(&mut self.dirty_lines).into_iter().collect();
+        // recovery code that only reads whole committed records. Address
+        // order again, for the same reason.
+        let mut dirty: Vec<u64> = std::mem::take(&mut self.dirty_lines).into_iter().collect();
+        dirty.sort_unstable();
         for line in dirty {
             let mut snap = [0u8; LINE];
             self.read_line(line, &mut snap);
@@ -770,7 +771,8 @@ mod tests {
         // Two devices with identical logical contents but different
         // write/clwb orders must produce identical durable images for the
         // same crash seed: the crash RNG is applied in address order, not
-        // hash-map iteration order.
+        // hash-set iteration order. Two lines in three are clwb'ed (pending,
+        // never fenced); every third line is only written (dirty).
         let build = |order: &[u64]| {
             let mut dev = NvmDevice::new(1 << 20);
             for _ in 0..8 {
@@ -779,24 +781,46 @@ mod tests {
             for &i in order {
                 let pa = PhysAddr::new(i * 64);
                 dev.write_u64(pa, i + 1);
-                dev.clwb(pa); // all pending, never fenced
+                if i % 3 != 0 {
+                    dev.clwb(pa);
+                }
             }
             dev
         };
-        let fwd: Vec<u64> = (0..24).collect();
-        let rev: Vec<u64> = (0..24).rev().collect();
+        // Bit i set: line i landed. Pinned because a crash seed must keep
+        // naming the same outcome, or a saved `crash-sweep --replay` seed
+        // would replay a different crash.
+        const LANDED: [u64; 4] = [
+            0xf5ff_fcfb_e3b7,
+            0x212c_cdda_7290,
+            0x0f72_3ca0_34a9,
+            0x980f_cade_d70a,
+        ];
+        let fwd: Vec<u64> = (0..48).collect();
+        let rev: Vec<u64> = (0..48).rev().collect();
+        let landed = |order: &[u64], seed: u64| {
+            let mut dev = build(order);
+            assert_eq!(dev.volatile_lines(), 48);
+            dev.crash(seed);
+            let mut landed = 0u64;
+            for i in 0..48 {
+                match dev.read_u64(PhysAddr::new(i * 64)) {
+                    0 => {}
+                    v if v == i + 1 => landed |= 1 << i,
+                    v => panic!("seed {seed} line {i}: torn value {v:#x}"),
+                }
+            }
+            landed
+        };
         for seed in 0..16 {
-            let mut a = build(&fwd);
-            let mut b = build(&rev);
-            a.crash(seed);
-            b.crash(seed);
-            for i in 0..24 {
-                let pa = PhysAddr::new(i * 64);
-                assert_eq!(
-                    a.read_u64(pa),
-                    b.read_u64(pa),
-                    "seed {seed} line {i}: crash must be content-deterministic"
-                );
+            let a = landed(&fwd, seed);
+            assert_eq!(
+                a,
+                landed(&rev, seed),
+                "seed {seed}: crash must be content-deterministic"
+            );
+            if let Some(&want) = LANDED.get(seed as usize) {
+                assert_eq!(a, want, "seed {seed}: outcome moved");
             }
         }
     }

@@ -5,8 +5,7 @@
 //! The TLB caches these mappings; the *Parallel* POLB refill additionally
 //! walks this table to find the physical frame (paper §4.2, Figure 7).
 
-use std::collections::HashMap;
-
+use poat_core::hash::IntMap;
 use poat_core::{PhysAddr, VirtAddr, PAGE_BYTES};
 
 /// A per-process page table.
@@ -23,7 +22,7 @@ use poat_core::{PhysAddr, VirtAddr, PAGE_BYTES};
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
     /// virtual page number → physical frame base.
-    entries: HashMap<u64, PhysAddr>,
+    entries: IntMap<u64, PhysAddr>,
 }
 
 impl PageTable {

@@ -16,8 +16,7 @@
 //! Failure safety (undo logging + `persist`) can be disabled to produce the
 //! `_NTX` configurations of the paper (Table 7).
 
-use std::collections::HashMap;
-
+use poat_core::hash::IntMap;
 use poat_core::{ObjectId, PoolId, Pot, VirtAddr, CACHE_LINE_BYTES, PAGE_BYTES};
 use poat_nvm::{BoundaryKind, FaultPlan, NvMemory, PageTable};
 
@@ -184,7 +183,7 @@ pub struct Runtime {
     pub(crate) cfg: RuntimeConfig,
     pub(crate) mem: NvMemory,
     pub(crate) dir: PoolDirectory,
-    pub(crate) open: HashMap<u32, OpenPool>,
+    pub(crate) open: IntMap<u32, OpenPool>,
     pub(crate) pot: Pot,
     pub(crate) xlat: SoftTranslator,
     pub(crate) trace: Trace,
@@ -202,7 +201,7 @@ impl Runtime {
             xlat: SoftTranslator::with_predictor(cfg.xlat_slots, cfg.last_value_predictor),
             mem,
             dir: PoolDirectory::new(),
-            open: HashMap::new(),
+            open: IntMap::default(),
             trace: Trace::new(),
             stats: RuntimeStats::default(),
             tx: None,
@@ -731,6 +730,27 @@ impl Runtime {
     }
 
     // ------------------------------------------------------------------
+    // Recording
+    // ------------------------------------------------------------------
+
+    /// Runs `f` without recording it. Memory, persistence, the POT, the
+    /// software translator and every counter change exactly as they
+    /// would, but no op `f` emits reaches the trace, whose encoder state
+    /// `f` leaves as it found it. Every op id `f` sees is [`OpId::MAX`],
+    /// which no later op keeps as a dependency. Software-translation
+    /// events keep the trace positions they would have had.
+    ///
+    /// A workload's setup phase runs inside it (TPC-C population): the
+    /// paper measures only what follows, so encoding setup would only be
+    /// thrown away.
+    pub fn untraced<R>(&mut self, f: impl FnOnce(&mut Runtime) -> R) -> R {
+        let outer = self.trace.set_untraced(true);
+        let r = f(self);
+        self.trace.set_untraced(outer);
+        r
+    }
+
+    // ------------------------------------------------------------------
     // Crash / recovery
     // ------------------------------------------------------------------
 
@@ -753,7 +773,7 @@ impl Runtime {
             cfg: self.cfg.clone(),
             mem: self.mem,
             dir: self.dir,
-            open: HashMap::new(),
+            open: IntMap::default(),
             pot: Pot::new(self.cfg.pot_entries),
             xlat: SoftTranslator::with_predictor(
                 self.cfg.xlat_slots,
@@ -848,9 +868,13 @@ impl Runtime {
         &self.trace
     }
 
-    /// Takes the recorded trace, leaving an empty one.
+    /// Takes the recorded trace, leaving an empty one. Inside
+    /// [`untraced`](Self::untraced) the phase goes on.
     pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
+        let untraced = self.trace.set_untraced(false);
+        let trace = std::mem::take(&mut self.trace);
+        self.trace.set_untraced(untraced);
+        trace
     }
 
     /// Runtime counters.
@@ -1079,6 +1103,70 @@ mod tests {
         // And deleted pools never come back through crash recovery.
         let rt2 = rt.crash_and_recover(3).unwrap();
         assert_eq!(rt2.open_pools(), 1);
+    }
+
+    #[test]
+    fn untraced_phase_records_what_taking_its_trace_would_leave() {
+        // A setup phase: pool creation, a persisted write, compute, a
+        // branch and a dereference. It hands on the object and the id
+        // of its last load, as TPC-C hands its tables to the measured
+        // transactions.
+        fn setup(rt: &mut Runtime) -> (ObjectId, OpId) {
+            let pool = rt.pool_create("p", 1 << 16).unwrap();
+            let oid = rt.pmalloc(pool, 64).unwrap();
+            let r = rt.deref(oid, None).unwrap();
+            rt.write_u64_at(&r, 8, 0xC0FFEE).unwrap();
+            rt.persist(oid, 16).unwrap();
+            rt.exec(7);
+            rt.branch(true);
+            let (_, dep) = rt.read_u64_at(&r, 0).unwrap();
+            (oid, dep)
+        }
+        // The measured phase: reads back through setup's dependency.
+        fn measured(rt: &mut Runtime, (oid, dep): (ObjectId, OpId)) -> Trace {
+            let r = rt.deref(oid, Some(dep)).unwrap();
+            let (v, id) = rt.read_u64_at(&r, 8).unwrap();
+            assert_eq!(v, 0xC0FFEE, "setup's write is visible");
+            rt.exec(3);
+            let r = rt.deref(oid, Some(id)).unwrap();
+            rt.write_u64_at(&r, 16, v + 1).unwrap();
+            rt.persist(oid, 24).unwrap();
+            rt.take_trace()
+        }
+        for cfg in [RuntimeConfig::base(), RuntimeConfig::opt()] {
+            let mut a = Runtime::new(cfg.clone());
+            let handoff = a.untraced(setup);
+            assert_eq!(handoff.1, OpId::MAX);
+            assert!(a.trace().is_empty(), "{:?}: nothing recorded", cfg.mode);
+            let untraced = measured(&mut a, handoff);
+
+            let mut b = Runtime::new(cfg.clone());
+            let handoff = setup(&mut b);
+            assert!(!b.take_trace().is_empty());
+            let taken = measured(&mut b, handoff);
+
+            assert!(!untraced.is_empty());
+            assert_eq!(untraced.encoded_columns(), taken.encoded_columns());
+            assert_eq!(untraced.summary(), taken.summary());
+            assert_eq!(a.xlat_stats(), b.xlat_stats(), "{:?}", cfg.mode);
+            assert_eq!(a.stats(), b.stats());
+        }
+    }
+
+    #[test]
+    fn untraced_phases_nest_and_outlast_take_trace() {
+        let mut rt = Runtime::new(RuntimeConfig::opt());
+        rt.exec(2);
+        rt.untraced(|rt| {
+            rt.exec(5);
+            rt.untraced(|rt| rt.branch(false));
+            rt.branch(true);
+            assert_eq!(rt.take_trace().summary().instructions, 2);
+            rt.exec(9);
+        });
+        assert!(rt.trace().is_empty(), "the whole scope went unrecorded");
+        rt.branch(false);
+        assert_eq!(rt.trace().summary().branches, 1, "recording resumed");
     }
 
     #[test]

@@ -379,6 +379,40 @@ pub struct Trace {
     /// `(payload offset, n)` of the trailing op iff it is an `Exec`
     /// batch — enables in-place coalescing of adjacent batches.
     last_exec: Option<(usize, u32)>,
+    /// `Some` inside an untraced phase (`Runtime::untraced`).
+    untraced: Option<Untraced>,
+}
+
+/// What an untraced phase keeps of the ops it leaves out: how many
+/// entries they would have added, so software-translation events keep
+/// the trace positions they are stamped with (see [`Trace::position`]).
+#[derive(Clone, Copy, Debug)]
+struct Untraced {
+    /// Entries left out so far.
+    ops: u64,
+    /// `n` of the trailing entry iff it is an `Exec` batch, which the
+    /// next batch would have coalesced into.
+    exec: Option<u32>,
+}
+
+impl Untraced {
+    /// Counts `op` as [`Trace::push`] would have stored it.
+    fn count(&mut self, op: TraceOp) {
+        match op {
+            TraceOp::Exec { n: 0 } => {}
+            TraceOp::Exec { n } => {
+                let merged = self.exec.and_then(|last| last.checked_add(n));
+                if merged.is_none() {
+                    self.ops += 1;
+                }
+                self.exec = Some(merged.unwrap_or(n));
+            }
+            _ => {
+                self.ops += 1;
+                self.exec = None;
+            }
+        }
+    }
 }
 
 impl PartialEq for Trace {
@@ -411,7 +445,15 @@ impl Trace {
     /// * a `dep` that does not reference an *earlier* op (`dep >= id`) is
     ///   normalized to `None`: a producer must precede its consumer, and
     ///   the replay models already treated such edges as ready-at-zero.
+    ///
+    /// Inside an untraced phase (`Runtime::untraced`) nothing is encoded,
+    /// the encoder state stays as it was, and the id is [`OpId::MAX`],
+    /// which no later push keeps as a dependency.
     pub fn push(&mut self, op: TraceOp) -> OpId {
+        if let Some(untraced) = &mut self.untraced {
+            untraced.count(op);
+            return OpId::MAX;
+        }
         let id = self.tags.len() as OpId;
         match op {
             TraceOp::Exec { n: 0 } => return id.saturating_sub(1),
@@ -541,6 +583,28 @@ impl Trace {
         self.tags.is_empty()
     }
 
+    /// Where the next op lands: [`len`](Self::len), plus the entries an
+    /// untraced phase has left out so far.
+    pub(crate) fn position(&self) -> u64 {
+        self.tags.len() as u64 + self.untraced.map_or(0, |u| u.ops)
+    }
+
+    /// Starts (`on`) or ends an untraced phase; returns whether one was
+    /// active. Only `Runtime::untraced` and `Runtime::take_trace` call
+    /// this, so no public path can leave recording off.
+    pub(crate) fn set_untraced(&mut self, on: bool) -> bool {
+        let was = self.untraced.is_some();
+        self.untraced = match (on, self.untraced) {
+            (false, _) => None,
+            (true, Some(u)) => Some(u),
+            (true, None) => Some(Untraced {
+                ops: 0,
+                exec: self.last_exec.map(|(_, n)| n),
+            }),
+        };
+        was
+    }
+
     /// Bytes of encoded trace data held in memory (tag spine + payload).
     /// Divide by [`Trace::len`] for the bytes-per-op figure the encoding
     /// is budgeted against (≤ 12 B/op; see `DESIGN.md`).
@@ -594,6 +658,7 @@ impl Trace {
             summary,
             state,
             last_exec,
+            untraced: None,
         })
     }
 }
@@ -934,6 +999,65 @@ mod tests {
         t.push(TraceOp::Exec { n: 5 });
         assert_eq!(t.len(), 2, "u32 overflow starts a new batch");
         assert_eq!(t.summary().instructions, u32::MAX as u64 + 5);
+    }
+
+    #[test]
+    fn untraced_phase_encodes_nothing_but_counts_positions() {
+        // Every op kind, empty and overflowing Exec batches, and coalescing
+        // into the batch the recorded prefix ends with.
+        let ops = [
+            TraceOp::Exec { n: 4 },
+            TraceOp::Exec { n: 0 },
+            TraceOp::Load {
+                va: va(64),
+                dep: Some(0),
+            },
+            TraceOp::Exec { n: u32::MAX },
+            TraceOp::Exec { n: 1 },
+            TraceOp::Exec { n: 2 },
+            TraceOp::Clwb { va: va(64) },
+            TraceOp::Fence,
+            TraceOp::Branch { mispredicted: true },
+            TraceOp::NvStore {
+                oid: ObjectId::new(poat_core::PoolId::new(1).unwrap(), 8),
+                va: va(72),
+                dep: None,
+            },
+        ];
+        let mut recorded = Trace::new();
+        recorded.push(TraceOp::Store {
+            va: va(8),
+            dep: None,
+        });
+        recorded.push(TraceOp::Exec { n: 2 });
+        let mut untraced = recorded.clone();
+        assert!(!untraced.set_untraced(true));
+        for op in ops {
+            recorded.push(op);
+            assert_eq!(untraced.push(op), OpId::MAX);
+            assert_eq!(untraced.position(), recorded.len() as u64, "after {op:?}");
+        }
+        assert!(untraced.set_untraced(false));
+        assert_eq!(untraced.len(), 2, "nothing encoded");
+        assert_eq!(untraced.summary().instructions, 3);
+        // The encoder state is the prefix's: the next batch coalesces
+        // into its trailing Exec, and addresses delta against its store.
+        untraced.push(TraceOp::Exec { n: 1 });
+        untraced.push(TraceOp::Load {
+            va: va(16),
+            dep: Some(0),
+        });
+        let mut expect = Trace::new();
+        expect.push(TraceOp::Store {
+            va: va(8),
+            dep: None,
+        });
+        expect.push(TraceOp::Exec { n: 3 });
+        expect.push(TraceOp::Load {
+            va: va(16),
+            dep: Some(0),
+        });
+        assert_eq!(untraced, expect);
     }
 
     #[test]

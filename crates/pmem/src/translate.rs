@@ -222,7 +222,7 @@ impl SoftTranslator {
         self.telemetry.calls.inc();
         // Software translation runs at trace-generation time, before any
         // cycle model exists; the trace position stands in for both clocks.
-        let at = trace.len() as u64;
+        let at = trace.position();
         events::begin_access(
             EventKind::SoftCall,
             TraceDesign::Software,

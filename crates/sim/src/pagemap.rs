@@ -5,14 +5,13 @@
 //! hit → mapped frame; miss → identity-mapped into a distinct "volatile
 //! DRAM" region (bit 47 set), so the runtime's volatile globals and
 //! translation table never alias pool frames. It runs once per replayed
-//! memory op, and with the general-purpose `HashMap` inside
-//! [`PageTable`] its SipHash + probe cost dominated the replay hot
-//! loop. [`PageMap`] is the dedicated fast path: the page table is
-//! frozen for the whole replay (the machine state is captured before
-//! simulation starts), so the mappings are copied once into an
-//! open-addressed table with a cheap multiplicative hash, sized for a
-//! ≤50% load factor. Lookups are one multiply, a shift, and on average
-//! about one probe.
+//! memory op, so it does not go through [`PageTable`]'s general-purpose
+//! hash map, which must also support mapping and unmapping. [`PageMap`]
+//! is the dedicated fast path: the page table is frozen for the whole
+//! replay (the machine state is captured before simulation starts), so
+//! the mappings are copied once into an open-addressed table with a
+//! cheap multiplicative hash, sized for a ≤50% load factor. Lookups are
+//! one multiply, a shift, and on average about one probe.
 
 use poat_core::VirtAddr;
 use poat_nvm::PageTable;

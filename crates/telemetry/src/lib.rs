@@ -63,6 +63,8 @@ use serde::Serialize;
 /// migration in `docs/METRICS.md`.
 pub const SCHEMA_VERSION: u32 = 1;
 
+/// Canonical phase name: a workload's untraced setup (TPC-C population).
+pub const PHASE_WORKLOAD_SETUP: &str = "workload_setup";
 /// Canonical phase name: workload execution on the persistent runtime.
 pub const PHASE_WORKLOAD_EXEC: &str = "workload_exec";
 /// Canonical phase name: trace replay through a cycle-level core model.

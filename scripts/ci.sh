@@ -130,6 +130,11 @@ echo "==> bench-e2e smoke (offline)"
 # workload and exits non-zero on any failed op.
 cargo run --release --offline --locked --manifest-path bench-e2e/Cargo.toml --bin bench-e2e -- --smoke
 
+echo "==> bench-e2e tests (offline)"
+# bench-e2e's own tests, among them one that holds its TPC-C recording
+# (which calls Tpcc::setup directly) to repro's quick main matrix.
+cargo test --offline --locked -q --manifest-path bench-e2e/Cargo.toml
+
 echo "==> full-scale matrix: budget + results_full.json (offline)"
 # The full-scale Fig. 9 matrix under its wall-clock budget
 # (budget/fig9_full_matrix, docs/BENCHMARKS.md), about 15 s on a 2-vCPU
