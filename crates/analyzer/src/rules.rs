@@ -290,9 +290,8 @@ pub struct UnwrapInHotPath;
 
 /// The hot-path scope: the whole simulator plus the POLB/POT hardware
 /// models and the software-translation path — and the code that reads
-/// external input and must fail with typed errors: the durable-log
-/// decode paths (codec, both payload records, the frame scan), the
-/// `repro` CLI and the serve spool.
+/// external input and must fail with typed errors: the ledger's decode
+/// paths (codec, record payload, the frame scan) and the `repro` CLI.
 fn hot_path(path: &str) -> bool {
     path.starts_with("crates/sim/src/")
         || [
@@ -301,10 +300,8 @@ fn hot_path(path: &str) -> bool {
             "crates/pmem/src/translate.rs",
             "crates/ledger/src/codec.rs",
             "crates/ledger/src/record.rs",
-            "crates/ledger/src/catalog/record.rs",
             "crates/ledger/src/lib.rs",
             "crates/harness/src/main.rs",
-            "crates/harness/src/serve.rs",
         ]
         .contains(&path)
 }
@@ -317,14 +314,14 @@ impl Rule for UnwrapInHotPath {
         Severity::Error
     }
     fn description(&self) -> &'static str {
-        "unwrap()/expect()/panic! in hot-path library code (sim, core::polb, core::pot, pmem::translate), durable-log decoders, the repro CLI and the serve spool"
+        "unwrap()/expect()/panic! in hot-path library code (sim, core::polb, core::pot, pmem::translate), the ledger decoders and the repro CLI"
     }
     fn rationale(&self) -> &'static str {
         "The hot path (simulator loop, POLB/POT hardware models, software translation) \
          executes per memory access; a panic there aborts a multi-minute run and loses \
-         the telemetry that would explain it. The durable-log decoders, the repro CLI and \
-         the serve spool read external input, where a crafted byte or a bad path must be \
-         a typed error. Errors must propagate as values. \
+         the telemetry that would explain it. The ledger decoders and the repro CLI read \
+         external input, where a crafted byte or a bad path must be a typed error. Errors \
+         must propagate as values. \
          `expect(\"invariant: ...\")` is exempt because it documents a structural \
          invariant whose violation is a bug, not an error path."
     }
@@ -836,14 +833,12 @@ fn has_missing_docs_lint(f: &SourceFile) -> bool {
 
 /// The files whose writes land on (simulated) persistent media and are
 /// therefore subject to the persist-ordering discipline: the pmem
-/// runtime/undo-log/pool layers, the ledger's pmem medium, and the
-/// serve-mode run-catalog store (POATCAT1) built on the same log.
-const PERSIST_SCOPE: [&str; 5] = [
+/// runtime/undo-log/pool layers and the ledger's pmem medium.
+const PERSIST_SCOPE: [&str; 4] = [
     "crates/pmem/src/runtime.rs",
     "crates/pmem/src/log.rs",
     "crates/pmem/src/pool.rs",
     "crates/ledger/src/medium.rs",
-    "crates/ledger/src/catalog/store.rs",
 ];
 
 /// Callees that flush-and-fence: after one of these, previously issued

@@ -47,7 +47,6 @@ const CORE: &str = "crates/core/src/fixture.rs";
 const EVENTS: &str = "crates/telemetry/src/events.rs";
 const CODEC: &str = "crates/ledger/src/codec.rs";
 const CLI: &str = "crates/harness/src/main.rs";
-const SPOOL: &str = "crates/harness/src/serve.rs";
 const METRICS: &str = "docs/METRICS.md";
 
 const CASES: &[Case] = &[
@@ -118,7 +117,7 @@ const CASES: &[Case] = &[
     Case {
         name: "r3-cli",
         rule: "unwrap-in-hot-path",
-        files: &[(CLI, R3_BAD), (SPOOL, R3_OK)],
+        files: &[(CLI, R3_BAD)],
         expected: &[(CLI, 3, "unwrap"), (CLI, 4, "expect")],
     },
     Case {

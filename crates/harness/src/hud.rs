@@ -12,36 +12,25 @@
 //! flight-recorder dump (`docs/TRACING.md`) so the wedged worker's recent
 //! translation events survive for post-mortem.
 //!
-//! Rendering goes through an installable [`Sink`] rather than stderr:
-//! library code stays silent by default and the `repro` binary decides
-//! where HUD lines land (`--hud SECS` wires the sink to stderr). With no
-//! sink and no interval the monitor only maintains its gauges —
+//! The watchdog runs only while `--hud SECS` sets an interval, and its
+//! lines go through [`crate::notify`]'s sink like every other library
+//! status line. With no interval the monitor only maintains its gauges —
 //! `pool.queue.depth{pool=L}`, `pool.workers.active{pool=L}` (labeled by
-//! pool, so the experiment pools and the serve pool keep separate
-//! series), and the per-worker `pool.worker.tasks{worker=N}` /
+//! pool), and the per-worker `pool.worker.tasks{worker=N}` /
 //! `pool.worker.busy_nanos{worker=N}` series (docs/METRICS.md) — at a
 //! cost of a few atomic stores per task, invisible next to a simulation.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use poat_telemetry::{events, labeled};
 
-/// Destination for rendered HUD lines (installed by the binary; library
-/// code never writes to stderr itself).
-pub type Sink = Box<dyn Fn(&str) + Send + Sync>;
+use crate::notify::emit;
 
-static SINK: Mutex<Option<Sink>> = Mutex::new(None);
 /// Progress-report period in milliseconds; 0 disables the HUD thread.
 static INTERVAL_MS: AtomicU64 = AtomicU64::new(0);
 /// Heartbeat silence past this many milliseconds counts as a stall.
 static STALL_MS: AtomicU64 = AtomicU64::new(30_000);
-
-/// Installs the sink HUD lines are rendered through.
-pub fn set_sink(sink: Sink) {
-    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = Some(sink);
-}
 
 /// Sets the progress-report interval; `None` disables the HUD thread
 /// (the gauges keep updating either way).
@@ -66,12 +55,6 @@ pub fn set_stall_threshold(threshold: Duration) {
     STALL_MS.store(threshold.as_millis().max(1) as u64, Ordering::Relaxed);
 }
 
-fn emit(line: &str) {
-    if let Some(sink) = SINK.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
-        sink(line);
-    }
-}
-
 #[derive(Default)]
 struct WorkerSlot {
     tasks: AtomicU64,
@@ -89,8 +72,8 @@ struct WorkerSlot {
 pub struct PoolMonitor {
     label: String,
     /// `pool.workers.active{pool=<label>}` — the liveness gauges carry
-    /// the pool label (`map` for the experiment pools, `serve` for serve
-    /// jobs), so one pool's gauges never overwrite another's.
+    /// the pool label (`map` for [`crate::runner::parallel_map`]), so one
+    /// pool's gauges never overwrite another's.
     workers_gauge: String,
     /// `pool.queue.depth{pool=<label>}` (see `workers_gauge`).
     queue_gauge: String,
@@ -253,15 +236,12 @@ impl PoolMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    /// The monitor publishes through the global registry and sink; tests
-    /// serialize so one test's gauges don't race another's asserts.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn monitor_tracks_progress_and_utilization() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // The label is this test's own, so no other pool writes the
+        // gauges it asserts.
         let m = PoolMonitor::new("test", 2, 3);
         let t0 = m.begin(0);
         std::thread::sleep(Duration::from_millis(2));
@@ -287,10 +267,13 @@ mod tests {
 
     #[test]
     fn stalled_worker_is_flagged_once() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // The sink is process-wide: hold the lock its other test takes.
+        let _g = crate::notify::SINK_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let sink_lines = lines.clone();
-        set_sink(Box::new(move |l: &str| {
+        crate::notify::set_sink(Box::new(move |l: &str| {
             sink_lines.lock().unwrap().push(l.to_string());
         }));
         set_stall_threshold(Duration::from_millis(1));
@@ -306,10 +289,9 @@ mod tests {
             .lock()
             .unwrap()
             .iter()
-            .filter(|l| l.contains("worker 0 silent"))
+            .filter(|l| l.starts_with("[pool stall] WARNING: worker 0 silent"))
             .count();
         assert_eq!(warned, 1, "one stall, one warning line");
         set_stall_threshold(Duration::from_secs(30));
-        *SINK.lock().unwrap() = None;
     }
 }

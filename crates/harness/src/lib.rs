@@ -29,12 +29,6 @@
 //! repro fig9a --quick  # one artifact at smoke-test scale
 //! repro all --json out.json
 //! ```
-//!
-//! [`serve`] turns the batch harness into an always-on service: a
-//! filesystem job spool, an async queue over the same worker pool, and
-//! the durable `poat_ledger::catalog` run catalog recording every job — driven
-//! by `repro serve` / `repro submit` / `repro jobs` /
-//! `repro catalog query` (docs/OBSERVABILITY.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,11 +39,9 @@ pub mod crash_sweep;
 pub mod csv;
 pub mod experiments;
 pub mod hud;
-pub mod jobs;
 pub mod notify;
 pub mod report;
 pub mod runner;
-pub mod serve;
 pub mod timeline;
 
 pub use runner::{run_micro, run_tpcc, simulate, Core, Scale, WorkloadRun};

@@ -5,8 +5,8 @@
 //! generated from the [`CMDS`] table, which also drives the one
 //! argument parser ([`parse`]). The `--metrics` snapshot schema is in
 //! `docs/METRICS.md`, `--trace`/`--timeline` in `docs/TRACING.md`, and
-//! the run ledger (`repro report`), the profiler, the HUD and serve mode
-//! in `docs/OBSERVABILITY.md`.
+//! the run ledger (`repro report`), the profiler and the HUD in
+//! `docs/OBSERVABILITY.md`.
 
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -21,7 +21,7 @@ use poat_harness::experiments::{
     table8_text, table9_text,
 };
 use poat_harness::report::TextTable;
-use poat_harness::{ablations, crash_sweep, csv, jobs, runner, serve, timeline, Scale};
+use poat_harness::{ablations, crash_sweep, csv, runner, timeline, Scale};
 use poat_telemetry::{events, MetricsSnapshot};
 
 /// Where runs land unless `--ledger`/`--no-ledger` says otherwise.
@@ -43,9 +43,9 @@ const ARTIFACTS: &[(&str, &str)] = &[
     ("all", "everything above"),
 ];
 
-/// One subcommand: its invocation (the word that selects it, then any
-/// operands), a one-line summary, and its flags as (`"--name VALUE"`,
-/// help) pairs — a flag written with a VALUE takes one.
+/// One subcommand: the word that selects it, a one-line summary, and
+/// its flags as (`"--name VALUE"`, help) pairs — a flag written with a
+/// VALUE takes one.
 struct Cmd {
     head: &'static str,
     about: &'static str,
@@ -112,51 +112,9 @@ const CMDS: &[Cmd] = &[
             ("--dir DIR", "keep the trace files in DIR"),
         ],
     },
-    Cmd {
-        head: "serve",
-        about: "run spooled jobs on the worker pool, recording each in the catalog",
-        flags: &[
-            ("--spool DIR", "job spool (default: .poat/spool)"),
-            ("--catalog PATH", "catalog (default: .poat/catalog.poatcat)"),
-            ("--poll-ms N", "idle poll interval (default: 200)"),
-            ("--drain", "exit once the spool is empty"),
-            ("--idle-exit SECS", "exit after SECS without new work"),
-            ("--workers N", "worker-pool width (default: cores, max 24)"),
-        ],
-    },
-    Cmd {
-        head: "submit WORKLOAD DESIGN SCALE",
-        about: "enqueue one run, e.g. `LL:ALL pipelined|parallel|ideal quick|full`",
-        flags: &[("--spool DIR", "job spool (default: .poat/spool)")],
-    },
-    Cmd {
-        head: "jobs",
-        about: "spool depth, every catalog job, and a summary line",
-        flags: &[
-            ("--spool DIR", "job spool (default: .poat/spool)"),
-            ("--catalog PATH", "catalog (default: .poat/catalog.poatcat)"),
-        ],
-    },
-    Cmd {
-        head: "catalog query",
-        about: "the catalog's jobs, filtered by exact match",
-        flags: &[
-            ("--catalog PATH", "catalog (default: .poat/catalog.poatcat)"),
-            ("--workload W", "only jobs of workload W"),
-            ("--design D", "only jobs of design D"),
-            ("--scale S", "only jobs at scale S"),
-            ("--status S", "only jobs with status S"),
-            ("--metric NAME", "project one sim.result.* value per job"),
-        ],
-    },
 ];
 
 impl Cmd {
-    /// The word that selects the subcommand.
-    fn name(&self) -> &'static str {
-        self.head.split(' ').next().unwrap_or_default()
-    }
-
     /// The flag `arg` names, and whether it takes a value.
     fn flag(&self, arg: &str) -> Option<(&'static str, bool)> {
         self.flags.iter().find_map(|&(spec, _)| {
@@ -214,22 +172,17 @@ impl Fail {
 }
 
 /// One subcommand's command line: its flags in the order given (a
-/// switch's value is empty) and its operands.
+/// switch's value is empty).
 struct Args<'a> {
     cmd: &'static Cmd,
     flags: Vec<(&'static str, &'a str)>,
-    operands: Vec<&'a str>,
 }
 
-/// The one argument loop: splits `args` into `cmd`'s flags and operands.
+/// The one argument loop: reads `args` as `cmd`'s flags.
 fn parse<'a>(cmd: &'static Cmd, args: &'a [String]) -> Result<Args<'a>, Fail> {
-    let (mut flags, mut operands) = (Vec::new(), Vec::new());
+    let mut flags = Vec::new();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
-        if !arg.starts_with('-') && cmd.head.contains(' ') {
-            operands.push(arg.as_str());
-            continue;
-        }
         let (name, takes_value) = cmd
             .flag(arg)
             .ok_or_else(|| Fail::Input(format!("unknown argument `{arg}`")))?;
@@ -241,11 +194,7 @@ fn parse<'a>(cmd: &'static Cmd, args: &'a [String]) -> Result<Args<'a>, Fail> {
         };
         flags.push((name, value));
     }
-    Ok(Args {
-        cmd,
-        flags,
-        operands,
-    })
+    Ok(Args { cmd, flags })
 }
 
 impl Args<'_> {
@@ -298,11 +247,19 @@ fn sweep_scale(args: &Args) -> Result<Scale, Fail> {
     })
 }
 
+/// Seconds since the Unix epoch (0 if the clock reads before it).
+fn unix_now_secs() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0)
+}
+
 /// Appends one record for this run to the ledger at `path`, returning
 /// the assigned run id. Ledger failures degrade to a warning — a broken
 /// ledger must not lose an hour-long experiment run.
 fn append_to_ledger(path: &str, snapshot: &MetricsSnapshot) -> Option<String> {
-    let data = poat_ledger::RecordData::from_snapshot(snapshot, serve::unix_now_secs());
+    let data = poat_ledger::RecordData::from_snapshot(snapshot, unix_now_secs());
     match poat_ledger::open_file(Path::new(path)) {
         Ok(mut ledger) => match ledger.append(data) {
             Ok(seq) => {
@@ -839,75 +796,6 @@ fn trace_roundtrip_main(args: &Args) -> Result<ExitCode, Fail> {
     Ok(ExitCode::from(u8::from(failures > 0)))
 }
 
-/// The `repro serve` entry point: runs the serve loop until the
-/// configured exit condition (docs/OBSERVABILITY.md, serve mode).
-fn serve_main(args: &Args) -> Result<ExitCode, Fail> {
-    let defaults = serve::ServeOptions::default();
-    let opts = serve::ServeOptions {
-        spool: args.get("--spool", parsed)?.unwrap_or(defaults.spool),
-        catalog: args.get("--catalog", parsed)?.unwrap_or(defaults.catalog),
-        poll_ms: args.get("--poll-ms", positive)?.unwrap_or(defaults.poll_ms),
-        drain: args.pos("--drain").is_some(),
-        idle_exit_secs: args.get("--idle-exit", parsed)?,
-    };
-    runner::set_worker_override(args.get("--workers", positive)?);
-    let summary = serve::serve(&opts).map_err(|e| Fail::Run(format!("serve: {e}")))?;
-    eprintln!(
-        "serve: {} claimed, {} completed, {} failed",
-        summary.claimed, summary.completed, summary.failed
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-/// The `repro submit` entry point: validates one job spec and drops it
-/// into the spool atomically.
-fn submit_main(args: &Args) -> Result<ExitCode, Fail> {
-    let [workload, design, scale] = args.operands[..] else {
-        return Err(Fail::Input(format!(
-            "submit expects WORKLOAD DESIGN SCALE (got {} operand(s))",
-            args.operands.len()
-        )));
-    };
-    let spec = serve::validate_spec(workload, design, scale).map_err(Fail::Input)?;
-    let spool = args.get("--spool", parsed)?;
-    let spool = spool.unwrap_or_else(|| serve::ServeOptions::default().spool);
-    let file = serve::submit(&spool, &spec)
-        .map_err(|e| Fail::Run(format!("submitting to {}: {e}", spool.display())))?;
-    println!("submitted {} -> {}", spec.display(), file.display());
-    Ok(ExitCode::SUCCESS)
-}
-
-/// The `repro jobs` entry point: spool depth + catalog job table.
-fn jobs_main(args: &Args) -> Result<ExitCode, Fail> {
-    let defaults = serve::ServeOptions::default();
-    let spool = args.get("--spool", parsed)?.unwrap_or(defaults.spool);
-    let catalog = args.get("--catalog", parsed)?.unwrap_or(defaults.catalog);
-    println!("{}", jobs::jobs_text(&spool, &catalog).map_err(Fail::Run)?);
-    Ok(ExitCode::SUCCESS)
-}
-
-/// The `repro catalog query` entry point: filtered historical jobs.
-fn catalog_main(args: &Args) -> Result<ExitCode, Fail> {
-    if args.operands != ["query"] {
-        return Err(Fail::Input(format!(
-            "expected `repro catalog query`, got `catalog {}`",
-            args.operands.join(" ")
-        )));
-    }
-    let catalog = args.get("--catalog", parsed)?;
-    let catalog = catalog.unwrap_or_else(|| serve::ServeOptions::default().catalog);
-    let filter = poat_ledger::catalog::QueryFilter {
-        workload: args.get("--workload", parsed)?,
-        design: args.get("--design", parsed)?,
-        scale: args.get("--scale", parsed)?,
-        status: args.get("--status", parsed)?,
-    };
-    let metric: Option<String> = args.get("--metric", parsed)?;
-    let table = jobs::query_text(&catalog, &filter, metric.as_deref()).map_err(Fail::Run)?;
-    println!("{table}");
-    Ok(ExitCode::SUCCESS)
-}
-
 fn to_json(value: &impl serde::Serialize) -> serde_json::Value {
     serde_json::to_value(value).expect("invariant: results are plain data")
 }
@@ -935,7 +823,6 @@ fn artifact_main(artifact: &str, args: &Args) -> Result<ExitCode, Fail> {
         poat_telemetry::profile::set_enabled(true);
     }
     if let Some(secs) = hud_secs {
-        poat_harness::hud::set_sink(Box::new(|line: &str| eprintln!("{line}")));
         poat_harness::hud::set_interval(Some(std::time::Duration::from_secs(secs)));
     }
     let started = start_run(trace_path.as_deref(), timeline_dir.as_deref(), trace_sample);
@@ -1081,7 +968,7 @@ fn select(first: &str) -> Result<&'static Cmd, Fail> {
     }
     CMDS[1..]
         .iter()
-        .find(|c| c.name() == first)
+        .find(|c| c.head == first)
         .ok_or_else(|| Fail::Input(format!("unknown artifact `{first}`")))
 }
 
@@ -1096,20 +983,16 @@ fn run(args: &[String]) -> Result<ExitCode, Fail> {
     }
     let cmd = select(first)?;
     let args = parse(cmd, rest)?;
-    match cmd.name() {
+    match cmd.head {
         "report" => report_main(&args),
         "crash-sweep" => crash_sweep_main(&args),
         "trace-roundtrip" => trace_roundtrip_main(&args),
-        "serve" => serve_main(&args),
-        "submit" => submit_main(&args),
-        "jobs" => jobs_main(&args),
-        "catalog" => catalog_main(&args),
         _ => artifact_main(first, &args),
     }
 }
 
 fn main() -> ExitCode {
-    // Library status lines (serve progress, artifact writes) land on
+    // Library status lines (artifact writes, HUD progress) land on
     // stderr; stdout stays machine-parseable.
     poat_harness::notify::set_sink(Box::new(|line| eprintln!("{line}")));
     let args: Vec<String> = std::env::args().skip(1).collect();

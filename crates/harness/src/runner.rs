@@ -316,30 +316,14 @@ pub fn ideal() -> TranslationConfig {
 /// Parallelism is still bounded — at most `max_workers` tasks are live at
 /// once and each returns only its small result — but the compact trace
 /// encoding (a few bytes per op instead of the old 40 B enum) leaves the
-/// matrix CPU-bound rather than memory-bound at this width.
-pub fn parallel_map<T, R, F>(inputs: Vec<T>, max_workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_labeled("map", inputs, max_workers, f)
-}
-
-/// [`parallel_map`] with an explicit pool label. The label keeps each
-/// pool's `pool.workers.active{pool=...}` / `pool.queue.depth{pool=...}`
-/// gauges and HUD lines apart (docs/METRICS.md).
+/// matrix CPU-bound rather than memory-bound at this width. The pool's
+/// `pool.*` gauges and HUD lines carry the label `map` (docs/METRICS.md).
 ///
 /// # Panics
 ///
 /// Re-raises the first panic a task raised, once every worker has
 /// stopped.
-pub fn parallel_map_labeled<T, R, F>(
-    label: &str,
-    inputs: Vec<T>,
-    max_workers: usize,
-    f: F,
-) -> Vec<R>
+pub fn parallel_map<T, R, F>(inputs: Vec<T>, max_workers: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -353,7 +337,7 @@ where
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let results_mutex = Mutex::new(&mut results);
     let workers = max_workers.max(1).min(n.max(1));
-    let monitor = crate::hud::PoolMonitor::new(label, workers, n as u64);
+    let monitor = crate::hud::PoolMonitor::new("map", workers, n as u64);
     let panicked = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {

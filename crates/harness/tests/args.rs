@@ -103,6 +103,31 @@ fn an_unknown_artifact_is_rejected_before_any_side_effect() {
 }
 
 #[test]
+fn the_retired_serve_commands_are_unknown_artifacts() {
+    let dir = scratch("retired");
+    let (d, c) = (dir.to_str().unwrap(), dir.join("c"));
+    let c = c.to_str().unwrap();
+    // Each line's flags made its command return at once, so a parser
+    // that still knew it would finish (or fail) here rather than hang.
+    for args in [
+        &["serve", "--drain", "--spool", d, "--catalog", c][..],
+        &["submit", "LL:ALL", "pipelined", "quick", "--spool", d],
+        &["jobs", "--spool", d, "--catalog", c],
+        &["catalog", "query", "--catalog", c],
+    ] {
+        let line = format!("repro {}", args.join(" "));
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "`{line}`: {stderr}");
+        let needle = format!("unknown artifact `{}`", args[0]);
+        assert!(stderr.contains(&needle), "`{line}`: {stderr}");
+        let created = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(created, 0, "`{line}` created files under {d}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn two_runs_make_two_ledger_records_and_a_flamegraph() {
     let dir = std::env::temp_dir().join("poat_args_smoke");
     let _ = std::fs::remove_dir_all(&dir);

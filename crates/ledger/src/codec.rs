@@ -1,14 +1,9 @@
 // SPDX-License-Identifier: MIT OR Apache-2.0
-//! Shared byte-level codec for log payloads: LEB128 varints,
-//! length-prefixed strings, front-coded name-keyed maps, and a bounds-
-//! checked decode cursor.
-//!
-//! Both durable stores in this repository — the run ledger
-//! (`POATLGR1`, [`crate::record::RecordData`]) and the run catalog
-//! (`POATCAT1`, [`crate::catalog::CatalogRecord`]) — encode their
-//! payloads through these primitives, so the two formats stay
-//! siblings: same varint discipline, same corruption surface, one set
-//! of torture tests (`tests/payloads.rs`).
+//! Byte-level codec for the ledger payload ([`crate::record::RecordData`],
+//! `POATLGR1`): LEB128 varints, length-prefixed strings, front-coded
+//! name-keyed maps, and a bounds-checked decode cursor. The payload's
+//! counters, gauges and histograms share [`put_map`] and
+//! [`Cursor::map`], and `tests/payloads.rs` tortures the decoder.
 
 use std::collections::BTreeMap;
 
@@ -35,9 +30,8 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 
 /// Appends a name-keyed map: its entry count, then per entry (in name
 /// order) the name front-coded against its predecessor followed by the
-/// value as `put_value` writes it. Every metric map in both payloads —
-/// ledger counters, gauges and histograms, catalog result metrics — is
-/// encoded this way.
+/// value as `put_value` writes it. Every metric map of the ledger
+/// payload — counters, gauges and histograms — is encoded this way.
 ///
 /// Front-coding stores the byte length a name shares with its
 /// predecessor, then the differing suffix — worth ~3× on the sorted,

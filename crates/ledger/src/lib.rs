@@ -1,15 +1,13 @@
 // SPDX-License-Identifier: MIT OR Apache-2.0
 //! # poat-ledger
 //!
-//! The repository's durable logs. The run ledger is an append-only
-//! log of one record per `repro`/bench run, so the metric trajectory
-//! survives the process instead of being clobbered by the next
-//! `results_full.json`; `repro report` queries it, `bench-compare
-//! --ledger` reads baselines out of it, and the crash-point sweep
-//! injects faults *into* it — the ledger dogfoods the same
-//! `crates/pmem` write/persist primitives the paper's runtime exposes
-//! to applications. The serve-mode run catalog ([`catalog`]) is a
-//! second payload on the same [`Log`], in its own `POATCAT1` file.
+//! The repository's durable run ledger: an append-only log of one
+//! record per `repro`/bench run, so the metric trajectory survives the
+//! process instead of being clobbered by the next `results_full.json`;
+//! `repro report` queries it, `bench-compare --ledger` reads baselines
+//! out of it, and the crash-point sweep injects faults *into* it — the
+//! ledger dogfoods the same `crates/pmem` write/persist primitives the
+//! paper's runtime exposes to applications.
 //!
 //! ## On-disk format (`POATLGR1`)
 //!
@@ -40,14 +38,12 @@
 //! scan never writes: a torn tail is reported and left in place. On a
 //! [`PmemMedium`] the tail-length word is persisted strictly after the
 //! record bytes, so a crash mid-append simply leaves the record
-//! invisible — `tests/crash_sweep.rs` asserts, for both payloads, that
-//! no fully-persisted record is ever lost and no torn tail is ever
-//! served.
+//! invisible — `tests/crash_sweep.rs` asserts that no fully-persisted
+//! record is ever lost and no torn tail is ever served.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod catalog;
 pub mod codec;
 pub mod medium;
 pub mod record;
@@ -63,6 +59,9 @@ use std::fmt;
 /// Frame header bytes: payload length (u32) + seq (u64) + checksum (u64).
 pub const FRAME_HEADER_BYTES: u64 = 4 + 8 + 8;
 
+/// The 8-byte magic opening every ledger stream.
+const MAGIC: &[u8; 8] = b"POATLGR1";
+
 /// Upper bound on one payload; larger lengths are treated as corruption
 /// (a torn length field must not make the scanner allocate gigabytes).
 pub const MAX_PAYLOAD_BYTES: u32 = 16 << 20;
@@ -75,8 +74,7 @@ fn le(bytes: &[u8]) -> u64 {
 /// Errors opening, appending to, or decoding a ledger.
 #[derive(Debug)]
 pub enum LedgerError {
-    /// The stream does not start with the payload's
-    /// [`LogPayload::MAGIC`].
+    /// The stream does not start with the `POATLGR1` magic.
     BadMagic,
     /// A payload declared a schema version newer than this binary.
     BadVersion(u64),
@@ -116,58 +114,23 @@ impl From<poat_pmem::PmemError> for LedgerError {
     }
 }
 
-/// The payload type a [`Log`] stores: its stream magic, its metric
-/// namespace, and its byte-level codec.
-///
-/// Implementations exist for the run-ledger [`RecordData`] (`POATLGR1`)
-/// and the run catalog's [`catalog::CatalogRecord`] (`POATCAT1`).
-/// Everything else about the two formats — frame headers, checksums,
-/// sequence discipline, recovery, and crash-safe media — is shared
-/// through [`Log`], so there is exactly one scanner to prove correct.
-pub trait LogPayload: Sized {
-    /// 8-byte magic opening the byte stream of this payload's streams.
-    const MAGIC: &'static [u8; 8];
-    /// Counter bumped per durably appended record (docs/METRICS.md).
-    const METRIC_RECORDS_APPENDED: &'static str;
-    /// Counter of framed bytes those appends committed.
-    const METRIC_BYTES_APPENDED: &'static str;
-    /// Counter of fully-persisted records recovered by opening scans.
-    const METRIC_RECORDS_RECOVERED: &'static str;
-    /// Counter of torn tails found (and, in repair mode, truncated) by
-    /// opening scans.
-    const METRIC_TORN_TAILS: &'static str;
-
-    /// Serializes the payload (the bytes the frame checksum covers).
-    fn encode(&self) -> Vec<u8>;
-
-    /// Decodes a payload produced by [`encode`](Self::encode).
-    ///
-    /// # Errors
-    ///
-    /// [`LedgerError::BadVersion`] / [`LedgerError::Corrupt`] per the
-    /// payload's own schema rules.
-    fn decode(bytes: &[u8]) -> Result<Self, LedgerError>;
-}
-
-/// One recovered record: its sequence number plus the decoded payload.
+/// One recovered run-ledger record: its sequence number plus the
+/// decoded payload.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Frame<P> {
+pub struct LedgerRecord {
     /// 1-based, strictly consecutive sequence number.
     pub seq: u64,
     /// The decoded record payload.
-    pub data: P,
+    pub data: RecordData,
 }
 
-impl<P> Frame<P> {
+impl LedgerRecord {
     /// Stable run identifier derived from the sequence number
     /// (`run000007`); artifact files are suffixed with it.
     pub fn run_id(&self) -> String {
         run_id(self.seq)
     }
 }
-
-/// One recovered run-ledger record (`POATLGR1` payload).
-pub type LedgerRecord = Frame<RecordData>;
 
 /// Formats a sequence number as the canonical run id (`run000007`).
 pub fn run_id(seq: u64) -> String {
@@ -185,23 +148,19 @@ pub struct ScanReport {
     pub torn_reason: Option<String>,
 }
 
-/// An open append-only record log over some [`Medium`]: the recovered
-/// records plus the append position. [`Ledger`] and the run catalog are
-/// both instances of this type with different payloads.
-pub struct Log<M: Medium, P: LogPayload> {
+/// The run ledger open on some [`Medium`]: the recovered records plus
+/// the append position.
+pub struct Ledger<M: Medium> {
     medium: M,
-    records: Vec<Frame<P>>,
+    records: Vec<LedgerRecord>,
     scan: ScanReport,
     /// Logical length of the valid region (next append offset).
     valid_len: u64,
 }
 
-/// The run ledger: a [`Log`] of [`RecordData`] payloads (`POATLGR1`).
-pub type Ledger<M> = Log<M, RecordData>;
-
-impl<M: Medium, P: LogPayload> Log<M, P> {
-    /// Opens the log on `medium`, scanning and validating every record
-    /// per the crate-level recovery contract. On a
+impl<M: Medium> Ledger<M> {
+    /// Opens the ledger on `medium`, scanning and validating every
+    /// record per the crate-level recovery contract. On a
     /// [writable](Medium::writable) medium an empty stream is formatted
     /// with the magic and a torn tail is truncated away, so subsequent
     /// appends are readable; a read-only medium is never written.
@@ -209,17 +168,17 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
     /// # Errors
     ///
     /// [`LedgerError::BadMagic`] when the stream is non-empty but does
-    /// not start with [`LogPayload::MAGIC`]; medium errors pass through.
-    /// Torn or corrupt *tails* are not errors — they are reported in
+    /// not start with `POATLGR1`; medium errors pass through. Torn or
+    /// corrupt *tails* are not errors — they are reported in
     /// [`scan_report`](Self::scan_report) and skipped.
     pub fn open(mut medium: M) -> Result<Self, LedgerError> {
         let writable = medium.writable();
         let len = medium.len()?;
         if len == 0 {
             if writable {
-                medium.append(P::MAGIC)?;
+                medium.append(MAGIC)?;
             }
-            return Ok(Log {
+            return Ok(Ledger {
                 medium,
                 records: Vec::new(),
                 scan: ScanReport::default(),
@@ -231,7 +190,7 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
         }
         let mut magic = [0u8; 8];
         medium.read_at(0, &mut magic)?;
-        if &magic != P::MAGIC {
+        if &magic != MAGIC {
             return Err(LedgerError::BadMagic);
         }
         let mut records = Vec::new();
@@ -264,8 +223,8 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
             if fnv1a64(&payload) != crc {
                 break Some("checksum mismatch".to_string());
             }
-            match P::decode(&payload) {
-                Ok(data) => records.push(Frame { seq, data }),
+            match RecordData::decode(&payload) {
+                Ok(data) => records.push(LedgerRecord { seq, data }),
                 Err(e) => break Some(format!("payload undecodable: {e}")),
             }
             pos += FRAME_HEADER_BYTES + payload_len;
@@ -277,12 +236,12 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
         };
         if scan.torn_tail_bytes > 0 && writable {
             medium.truncate(pos)?;
-            global().counter(P::METRIC_TORN_TAILS).inc();
+            global().counter("ledger.torn.tails").inc();
         }
         global()
-            .counter(P::METRIC_RECORDS_RECOVERED)
+            .counter("ledger.records.recovered")
             .add(records.len() as u64);
-        Ok(Log {
+        Ok(Ledger {
             medium,
             records,
             scan,
@@ -298,7 +257,7 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
     /// Medium write/persist failures — including the injected crashes the
     /// fault-sweep arms, which surface as [`LedgerError::Pmem`] — and
     /// [`LedgerError::Corrupt`] on a [`ReadOnlyMedium`].
-    pub fn append(&mut self, data: P) -> Result<u64, LedgerError> {
+    pub fn append(&mut self, data: RecordData) -> Result<u64, LedgerError> {
         let seq = self.records.len() as u64 + 1;
         let payload = data.encode();
         debug_assert!(payload.len() as u64 <= MAX_PAYLOAD_BYTES as u64);
@@ -309,21 +268,21 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
         frame.extend_from_slice(&payload);
         self.medium.append(&frame)?;
         self.valid_len += frame.len() as u64;
-        global().counter(P::METRIC_RECORDS_APPENDED).inc();
+        global().counter("ledger.records.appended").inc();
         global()
-            .counter(P::METRIC_BYTES_APPENDED)
+            .counter("ledger.bytes.appended")
             .add(frame.len() as u64);
-        self.records.push(Frame { seq, data });
+        self.records.push(LedgerRecord { seq, data });
         Ok(seq)
     }
 
     /// All recovered + appended records, ascending by sequence number.
-    pub fn records(&self) -> &[Frame<P>] {
+    pub fn records(&self) -> &[LedgerRecord] {
         &self.records
     }
 
     /// The record with sequence number `seq`.
-    pub fn get(&self, seq: u64) -> Option<&Frame<P>> {
+    pub fn get(&self, seq: u64) -> Option<&LedgerRecord> {
         self.records.iter().find(|r| r.seq == seq)
     }
 
@@ -337,7 +296,7 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
         self.valid_len
     }
 
-    /// Consumes the log, returning the medium (tests re-open it).
+    /// Consumes the ledger, returning the medium (tests re-open it).
     pub fn into_medium(self) -> M {
         self.medium
     }
@@ -472,6 +431,25 @@ mod tests {
         // The sequence continues from the surviving prefix.
         let mut l = open_file(&path).unwrap();
         assert_eq!(l.append(sample_record(3)).unwrap(), 3);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn read_only_observer_sees_the_stream_without_mutating_it() {
+        let (path, _) = ledger_with("ro", 1);
+        // A torn tail (simulating a racing writer's in-flight frame)...
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[0xCD; 9]);
+        std::fs::write(&path, &bytes).unwrap();
+        // ...is reported to the observer but NOT truncated away.
+        let mut l = open_file_read_only(&path).unwrap();
+        assert_eq!(l.records().len(), 1);
+        assert_eq!(l.records()[0].data, sample_record(0));
+        assert_eq!(l.scan_report().torn_tail_bytes, 9);
+        let append = l.append(sample_record(1));
+        assert!(matches!(append, Err(LedgerError::Corrupt(_))));
+        let after = std::fs::read(&path).unwrap();
+        assert_eq!(after, bytes, "read-only open must not repair the medium");
         std::fs::remove_file(&path).unwrap();
     }
 

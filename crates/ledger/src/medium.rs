@@ -1,5 +1,5 @@
 // SPDX-License-Identifier: MIT OR Apache-2.0
-//! Storage media the durable logs live on: a plain file, or a region
+//! Storage media the run ledger lives on: a plain file, or a region
 //! inside a `poat-pmem` pool — plus the read-only file every observer
 //! opens.
 //!
@@ -132,12 +132,11 @@ impl Medium for FileMedium {
     }
 }
 
-/// A log file opened for reading only, backing every observer
-/// (`repro report`, `repro jobs`, `repro catalog query`,
-/// `bench-compare --ledger`). A missing file reads as an empty log and
-/// is not created; every write fails, and the scan, seeing
-/// [`Medium::writable`] false, never attempts one — a torn tail is
-/// reported but left in place, because it may be a live writer's
+/// A ledger file opened for reading only, backing every observer
+/// (`repro report`, `bench-compare --ledger`). A missing file reads as
+/// an empty ledger and is not created; every write fails, and the scan,
+/// seeing [`Medium::writable`] false, never attempts one — a torn tail
+/// is reported but left in place, because it may be a live writer's
 /// in-flight append rather than damage.
 pub struct ReadOnlyMedium {
     file: Option<FileMedium>,

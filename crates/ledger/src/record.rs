@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use poat_telemetry::MetricsSnapshot;
 
 use crate::codec::{put_map, put_str, put_varint, Cursor};
-use crate::{LedgerError, LogPayload};
+use crate::LedgerError;
 
 /// Version of the record payload layout; bump on breaking change.
 pub const RECORD_SCHEMA_VERSION: u64 = 1;
@@ -158,16 +158,9 @@ impl RecordData {
         names.sort();
         names
     }
-}
 
-impl LogPayload for RecordData {
-    const MAGIC: &'static [u8; 8] = b"POATLGR1";
-    const METRIC_RECORDS_APPENDED: &'static str = "ledger.records.appended";
-    const METRIC_BYTES_APPENDED: &'static str = "ledger.bytes.appended";
-    const METRIC_RECORDS_RECOVERED: &'static str = "ledger.records.recovered";
-    const METRIC_TORN_TAILS: &'static str = "ledger.torn.tails";
-
-    fn encode(&self) -> Vec<u8> {
+    /// Serializes the payload (the bytes the frame checksum covers).
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(1024);
         put_varint(&mut out, RECORD_SCHEMA_VERSION);
         put_varint(&mut out, self.timestamp_unix_secs);
@@ -187,9 +180,16 @@ impl LogPayload for RecordData {
         out
     }
 
-    /// Fields are read in encoding order (struct-literal fields evaluate
-    /// top to bottom).
-    fn decode(bytes: &[u8]) -> Result<Self, LedgerError> {
+    /// Decodes a payload produced by [`encode`](Self::encode). Fields
+    /// are read in encoding order (struct-literal fields evaluate top to
+    /// bottom).
+    ///
+    /// # Errors
+    ///
+    /// [`LedgerError::BadVersion`] for a schema newer than
+    /// [`RECORD_SCHEMA_VERSION`]; [`LedgerError::Corrupt`] for a
+    /// truncated or malformed field, or bytes left after the payload.
+    pub fn decode(bytes: &[u8]) -> Result<Self, LedgerError> {
         let mut cur = Cursor::new(bytes);
         let version = cur.varint()?;
         if version > RECORD_SCHEMA_VERSION {

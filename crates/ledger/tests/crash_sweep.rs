@@ -1,96 +1,41 @@
 // SPDX-License-Identifier: MIT OR Apache-2.0
-//! Crash-point sweep over the durable logs' append path, one harness
-//! for both payloads: the ledger's [`RecordData`] and the catalog's
-//! [`CatalogRecord`], stored through `poat-pmem` write/persist
+//! Crash-point sweep over the run ledger's append path: the ledger's
+//! [`RecordData`] records are stored through `poat-pmem` write/persist
 //! primitives so the fault-injection engine can crash an append at
 //! every `clwb`/`fence`. Swept contract (clean and torn, two seeds):
 //!
 //! * every record whose `append` returned before the crash is
 //!   recovered, and at most the one in-flight record beyond it;
 //! * the scan never serves a torn tail — recovered records equal the
-//!   appended prefix, in order, and the payload's own view of that
-//!   prefix holds (for the catalog, the job-table fold);
+//!   appended prefix, in order;
 //! * dropped write-backs (the negative control, which *violates* the
 //!   persistence contract) are detectable as lost/short prefixes.
 
 use std::collections::BTreeMap;
-use std::fmt::Debug;
 
 use poat_core::ObjectId;
-use poat_ledger::catalog::{Catalog, CatalogRecord, JobSpec, JobStatus};
-use poat_ledger::{LedgerError, Log, LogPayload, PmemMedium, RecordData};
+use poat_ledger::{Ledger, LedgerError, PmemMedium, RecordData};
 use poat_pmem::faultpoint::{enumerate_crash_points, verify_recovery};
 use poat_pmem::{BoundaryKind, FaultPlan, PmemError, Runtime, RuntimeConfig};
 
 const CAP: u64 = 1 << 16;
 
-/// A payload under sweep: the records the workload appends, in order,
-/// and the payload's own check of the first `recovered` of them,
-/// reopened on `medium`.
-trait Swept: LogPayload + PartialEq + Debug {
-    fn workload() -> Vec<Self>;
-    fn check_prefix(_medium: PmemMedium<'_>, _recovered: usize, _ctx: &str) {}
-}
-
-impl Swept for RecordData {
-    fn workload() -> Vec<Self> {
-        (0..3)
-            .map(|n| RecordData {
-                timestamp_unix_secs: 1_700_000_000 + n,
-                elapsed_micros: 1000 + n,
-                command: format!("sweep-{n}"),
-                scale: "quick".into(),
-                git_revision: "cafebabe".into(),
-                counters: BTreeMap::from([
-                    ("t.sweep.seq".into(), n),
-                    ("t.sweep.value".into(), n * 17 + 3),
-                ]),
-                ..RecordData::default()
-            })
-            .collect()
-    }
-}
-
-impl Swept for CatalogRecord {
-    /// Submit ×2, complete, fail.
-    fn workload() -> Vec<Self> {
-        let spec = |workload: &str| JobSpec {
-            workload: workload.into(),
-            design: "pipelined".into(),
+/// The records the workload appends, in order.
+fn workload() -> Vec<RecordData> {
+    (0..3)
+        .map(|n| RecordData {
+            timestamp_unix_secs: 1_700_000_000 + n,
+            elapsed_micros: 1000 + n,
+            command: format!("sweep-{n}"),
             scale: "quick".into(),
-        };
-        let metrics = BTreeMap::from([
-            ("sim.result.cycles".to_string(), 123_456),
-            ("sim.result.polb_misses".to_string(), 42),
-        ]);
-        vec![
-            CatalogRecord::submitted(1, spec("LL:ALL"), 1_700_000_000),
-            CatalogRecord::submitted(2, spec("BST:RANDOM"), 1_700_000_001),
-            CatalogRecord::completed(1, spec("LL:ALL"), 1_700_000_005, 5_000_000, metrics),
-            CatalogRecord::failed(2, spec("BST:RANDOM"), 1_700_000_006, "sweep error".into()),
-        ]
-    }
-
-    /// The hydrated job table must equal the fold of exactly the
-    /// recovered prefix — the durable stream is the source of truth.
-    fn check_prefix(medium: PmemMedium<'_>, recovered: usize, ctx: &str) {
-        let cat = Catalog::open(medium).unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-        assert_eq!(cat.next_job_id(), recovered.min(2) as u64 + 1, "{ctx}");
-        if recovered >= 3 {
-            let j1 = cat.job(1).unwrap();
-            assert_eq!(j1.status, JobStatus::Completed, "{ctx}: job 1 fold");
-            assert_eq!(j1.metrics.get("sim.result.cycles"), Some(&123_456));
-            assert_eq!(j1.elapsed_micros, 5_000_000);
-        } else if recovered >= 1 {
-            let j1 = cat.job(1).unwrap();
-            assert_eq!(j1.status, JobStatus::Submitted, "{ctx}: job 1 fold");
-        }
-        if recovered == 4 {
-            let j2 = cat.job(2).unwrap();
-            assert_eq!(j2.status, JobStatus::Failed, "{ctx}: job 2 fold");
-            assert_eq!(j2.error, "sweep error");
-        }
-    }
+            git_revision: "cafebabe".into(),
+            counters: BTreeMap::from([
+                ("t.sweep.seq".into(), n),
+                ("t.sweep.value".into(), n * 17 + 3),
+            ]),
+            ..RecordData::default()
+        })
+        .collect()
 }
 
 fn build() -> Runtime {
@@ -103,7 +48,7 @@ fn build() -> Runtime {
 fn to_pmem(e: LedgerError) -> PmemError {
     match e {
         LedgerError::Pmem(p) => p,
-        other => panic!("non-pmem log error during sweep: {other}"),
+        other => panic!("non-pmem ledger error during sweep: {other}"),
     }
 }
 
@@ -112,18 +57,18 @@ fn setup(rt: &mut Runtime) -> Result<ObjectId, PmemError> {
     rt.pmalloc(pool, CAP)
 }
 
-/// Runs setup + the payload's appends, reporting how many appends fully
+/// Runs setup + the workload's appends, reporting how many appends fully
 /// returned before a crash (if any) and the object id once known.
-fn run_workload<P: Swept>(rt: &mut Runtime) -> (Option<ObjectId>, usize, Result<(), PmemError>) {
+fn run_workload(rt: &mut Runtime) -> (Option<ObjectId>, usize, Result<(), PmemError>) {
     let oid = match setup(rt) {
         Ok(oid) => oid,
         Err(e) => return (None, 0, Err(e)),
     };
     let mut completed = 0;
     let result = (|| {
-        let mut log = Log::<_, P>::open(PmemMedium::attach(rt, oid, CAP)).map_err(to_pmem)?;
-        for rec in P::workload() {
-            log.append(rec).map_err(to_pmem)?;
+        let mut ledger = Ledger::open(PmemMedium::attach(rt, oid, CAP)).map_err(to_pmem)?;
+        for rec in workload() {
+            ledger.append(rec).map_err(to_pmem)?;
             completed += 1;
         }
         Ok(())
@@ -131,12 +76,12 @@ fn run_workload<P: Swept>(rt: &mut Runtime) -> (Option<ObjectId>, usize, Result<
     (Some(oid), completed, result)
 }
 
-/// Reopens the log on a recovered runtime and checks the recovery
+/// Reopens the ledger on a recovered runtime and checks the recovery
 /// contract against the number of appends known complete.
-fn check_recovered<P: Swept>(rt: &mut Runtime, oid: ObjectId, completed: usize, ctx: &str) {
-    let log = Log::<_, P>::open(PmemMedium::attach(rt, oid, CAP))
+fn check_recovered(rt: &mut Runtime, oid: ObjectId, completed: usize, ctx: &str) {
+    let ledger = Ledger::open(PmemMedium::attach(rt, oid, CAP))
         .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-    let scan = log.scan_report().clone();
+    let scan = ledger.scan_report();
     assert!(
         (completed..=completed + 1).contains(&scan.recovered),
         "{ctx}: recovered {} records after {completed} completed appends \
@@ -148,35 +93,34 @@ fn check_recovered<P: Swept>(rt: &mut Runtime, oid: ObjectId, completed: usize, 
         "{ctx}: the tail word committed bytes that do not scan ({:?})",
         scan.torn_reason
     );
-    let expected = P::workload();
-    for (i, r) in log.records().iter().enumerate() {
+    let expected = workload();
+    for (i, r) in ledger.records().iter().enumerate() {
         assert_eq!(r.seq, i as u64 + 1, "{ctx}: sequence gap");
         assert_eq!(
             r.data, expected[i],
             "{ctx}: record {i} content diverged after recovery"
         );
     }
-    P::check_prefix(log.into_medium(), scan.recovered, ctx);
 }
 
-/// The whole sweep for one payload.
-fn sweep<P: Swept>() {
-    let appends = P::workload().len();
+#[test]
+fn ledger_append_path_survives_every_crash_point() {
+    let appends = workload().len();
     let mut rt = build();
-    let (oid, completed, result) = run_workload::<P>(&mut rt);
+    let (oid, completed, result) = run_workload(&mut rt);
     assert!(
         result.is_ok() && completed == appends,
         "the clean run completes"
     );
     let mut rt = rt.crash_and_recover(3).unwrap();
-    check_recovered::<P>(&mut rt, oid.unwrap(), appends, "clean run");
+    check_recovered(&mut rt, oid.unwrap(), appends, "clean run");
 
     // Boundaries crossed by setup alone vs the full workload: the delta
     // is the magic + append protocol — the range we sweep.
     let n_setup = enumerate_crash_points(build, |rt| setup(rt).map(|_| ()))
         .unwrap()
         .len() as u64;
-    let points = enumerate_crash_points(build, |rt| run_workload::<P>(rt).2).unwrap();
+    let points = enumerate_crash_points(build, |rt| run_workload(rt).2).unwrap();
     let n_total = points.len() as u64;
     assert!(
         n_total > n_setup + 8,
@@ -197,7 +141,7 @@ fn sweep<P: Swept>() {
                     torn_lines: torn,
                     ..FaultPlan::default()
                 });
-                let (oid, completed, result) = run_workload::<P>(&mut rt);
+                let (oid, completed, result) = run_workload(&mut rt);
                 assert!(
                     matches!(result, Err(PmemError::InjectedCrash)),
                     "{ctx}: expected an injected crash, got {result:?}"
@@ -208,7 +152,7 @@ fn sweep<P: Swept>() {
                     verify_recovery(&mut rt).unwrap().is_empty(),
                     "{ctx}: pool invariants violated"
                 );
-                check_recovered::<P>(&mut rt, oid, completed, &ctx);
+                check_recovered(&mut rt, oid, completed, &ctx);
             }
         }
     }
@@ -236,16 +180,16 @@ fn sweep<P: Swept>() {
                 drop_clwb: Some(n),
                 ..FaultPlan::default()
             });
-            let (oid, completed, result) = run_workload::<P>(&mut rt);
+            let (oid, completed, result) = run_workload(&mut rt);
             assert!(result.is_ok(), "the control runs to completion");
             assert_eq!(completed, appends);
             let Some(oid) = oid else { continue };
             let mut rt = rt.crash_and_recover(seed).unwrap();
             // A dropped write-back may corrupt the stream arbitrarily; any
             // deviation from the full clean prefix counts as detected.
-            let detected = match Log::<_, P>::open(PmemMedium::attach(&mut rt, oid, CAP)) {
-                Ok(log) => {
-                    let scan = log.scan_report();
+            let detected = match Ledger::open(PmemMedium::attach(&mut rt, oid, CAP)) {
+                Ok(ledger) => {
+                    let scan = ledger.scan_report();
                     scan.recovered < appends || scan.torn_tail_bytes > 0
                 }
                 Err(_) => true,
@@ -258,16 +202,6 @@ fn sweep<P: Swept>() {
     }
     assert!(
         detections > 0,
-        "no dropped clwb was ever detected by the log scan"
+        "no dropped clwb was ever detected by the ledger scan"
     );
-}
-
-#[test]
-fn ledger_append_path_survives_every_crash_point() {
-    sweep::<RecordData>();
-}
-
-#[test]
-fn catalog_append_path_survives_every_crash_point() {
-    sweep::<CatalogRecord>();
 }

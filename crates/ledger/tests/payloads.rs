@@ -1,52 +1,30 @@
 // SPDX-License-Identifier: MIT OR Apache-2.0
-//! Decoder robustness for both durable-log payloads, the ledger's
-//! [`RecordData`] and the catalog's [`CatalogRecord`]: their files are
-//! external input, so every byte string must decode to a value or a
-//! typed error, never a panic. Golden bytes pin both encodings.
+//! Decoder robustness for the ledger payload, [`RecordData`]: ledger
+//! files are external input, so every byte string must decode to a
+//! value or a typed error, never a panic. Golden bytes pin the encoding.
 
 use std::collections::BTreeMap;
-use std::fmt::Debug;
 
-use poat_ledger::catalog::{CatalogRecord, JobSpec, JobStatus};
 use poat_ledger::codec::{put_varint, Cursor};
-use poat_ledger::{HistStat, LedgerError, Log, LogPayload, Medium, RecordData};
+use poat_ledger::{HistStat, Ledger, LedgerError, Medium, RecordData};
 use poat_pmem::fnv::fnv1a64;
 use proptest::prelude::*;
 
-/// A payload under test: a value whose encoding spends one byte per
-/// field (zero numbers, empty strings, one empty-named entry per map),
-/// and how many of those fields reject `u64::MAX` — every length and
-/// count, plus the catalog's status code.
-trait Fuzzed: LogPayload + PartialEq + Debug {
-    const BOUNDED_FIELDS: usize;
-    fn minimal() -> Self;
-}
+const MAGIC: &[u8; 8] = b"POATLGR1";
 
-fn one<V>(v: V) -> BTreeMap<String, V> {
-    BTreeMap::from([(String::new(), v)])
-}
+/// Fields of [`minimal`]'s encoding that reject `u64::MAX`: three
+/// strings, three maps × (count, shared prefix, suffix), and `extra`.
+const BOUNDED_FIELDS: usize = 13;
 
-impl Fuzzed for RecordData {
-    /// Three strings, three maps × (count, shared prefix, suffix), `extra`.
-    const BOUNDED_FIELDS: usize = 13;
-    fn minimal() -> Self {
-        RecordData {
-            counters: one(0),
-            gauges: one(0),
-            histograms: one(HistStat::default()),
-            ..RecordData::default()
-        }
-    }
-}
-
-impl Fuzzed for CatalogRecord {
-    /// The status, four strings, and the map's (count, shared, suffix).
-    const BOUNDED_FIELDS: usize = 8;
-    fn minimal() -> Self {
-        CatalogRecord {
-            metrics: one(0),
-            ..CatalogRecord::default()
-        }
+/// A record whose encoding spends one byte per field: zero numbers,
+/// empty strings, one empty-named entry per map.
+fn minimal() -> RecordData {
+    let one = |v| BTreeMap::from([(String::new(), v)]);
+    RecordData {
+        counters: one(0),
+        gauges: one(0),
+        histograms: BTreeMap::from([(String::new(), HistStat::default())]),
+        ..RecordData::default()
     }
 }
 
@@ -72,46 +50,54 @@ impl Medium for Mem {
     }
 }
 
-/// `bytes` as a payload and as a log tail: neither decode nor scan may
-/// panic, the scan keeps exactly the bytes it accepts, and a correctly
-/// framed payload is recovered exactly when it decodes.
-fn check_total<P: Fuzzed>(bytes: &[u8]) {
-    let stream = [&P::MAGIC[..], bytes].concat();
-    let log = Log::<_, P>::open(Mem(stream.clone())).unwrap();
-    let kept = stream.len() as u64 - log.scan_report().torn_tail_bytes;
-    assert_eq!(log.valid_len(), kept);
-    assert_eq!(log.into_medium().0, stream[..kept as usize]);
+/// `bytes` as a payload and as a ledger tail: neither decode nor scan
+/// may panic, the scan keeps exactly the bytes it accepts, and a
+/// correctly framed payload is recovered exactly when it decodes.
+fn check_total(bytes: &[u8]) {
+    let stream = [&MAGIC[..], bytes].concat();
+    let ledger = Ledger::open(Mem(stream.clone())).unwrap();
+    let kept = stream.len() as u64 - ledger.scan_report().torn_tail_bytes;
+    assert_eq!(ledger.valid_len(), kept);
+    assert_eq!(ledger.into_medium().0, stream[..kept as usize]);
 
-    let mut framed = P::MAGIC.to_vec();
+    let mut framed = MAGIC.to_vec();
     framed.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     framed.extend_from_slice(&1u64.to_le_bytes());
     framed.extend_from_slice(&fnv1a64(bytes).to_le_bytes());
     framed.extend_from_slice(bytes);
-    let log = Log::<_, P>::open(Mem(framed)).unwrap();
-    let decodes = !bytes.is_empty() && P::decode(bytes).is_ok();
-    assert_eq!(log.records().len(), usize::from(decodes));
+    let ledger = Ledger::open(Mem(framed)).unwrap();
+    let decodes = !bytes.is_empty() && RecordData::decode(bytes).is_ok();
+    assert_eq!(ledger.records().len(), usize::from(decodes));
 }
 
-/// A valid encoding round-trips; every strict prefix of it, and the
-/// same bytes under a newer schema version, fail with a typed error; a
-/// flipped bit never panics the decoder.
-fn check_encoding<P: Fuzzed>(value: &P, flip: usize, bump: u64) {
+/// A valid encoding round-trips; every strict prefix of it, the same
+/// bytes followed by one more, and the same bytes under a newer schema
+/// version fail with a typed error; a flipped bit never panics the
+/// decoder.
+fn check_encoding(value: &RecordData, flip: usize, bump: u64) {
     let bytes = value.encode();
-    assert_eq!(&P::decode(&bytes).unwrap(), value);
+    assert_eq!(&RecordData::decode(&bytes).unwrap(), value);
     for cut in 0..bytes.len() {
-        assert!(P::decode(&bytes[..cut]).is_err(), "{cut}-byte prefix");
+        assert!(
+            RecordData::decode(&bytes[..cut]).is_err(),
+            "{cut}-byte prefix"
+        );
+    }
+    match RecordData::decode(&[&bytes[..], &[0]].concat()) {
+        Err(LedgerError::Corrupt("trailing bytes after payload")) => {}
+        other => panic!("one trailing byte: expected Corrupt, got {other:?}"),
     }
     let mut flipped = bytes.clone();
     flipped[flip / 8 % bytes.len()] ^= 1 << (flip % 8);
-    if let Ok(v) = P::decode(&flipped) {
-        assert_eq!(P::decode(&v.encode()).unwrap(), v);
+    if let Ok(v) = RecordData::decode(&flipped) {
+        assert_eq!(RecordData::decode(&v.encode()).unwrap(), v);
     }
     let mut cur = Cursor::new(&bytes);
     let newer = cur.varint().unwrap().saturating_add(bump.max(1));
     let mut out = Vec::new();
     put_varint(&mut out, newer);
     out.extend_from_slice(&bytes[cur.pos..]);
-    match P::decode(&out) {
+    match RecordData::decode(&out) {
         Err(LedgerError::BadVersion(v)) => assert_eq!(v, newer),
         other => panic!("schema {newer}: expected BadVersion, got {other:?}"),
     }
@@ -119,32 +105,27 @@ fn check_encoding<P: Fuzzed>(value: &P, flip: usize, bump: u64) {
 
 /// `u64::MAX` in each field of the minimal encoding either decodes
 /// faithfully (a value field) or is `Corrupt`, never a panic.
-fn check_oversized_fields<P: Fuzzed>() {
-    let bytes = P::minimal().encode();
+#[test]
+fn oversized_lengths_and_counts_are_corrupt() {
+    let bytes = minimal().encode();
     assert!(bytes.iter().all(|&b| b < 0x80), "one byte per field");
     let mut corrupt = 0;
     for at in 1..bytes.len() {
         let mut out = bytes[..at].to_vec();
         put_varint(&mut out, u64::MAX);
         out.extend_from_slice(&bytes[at + 1..]);
-        match P::decode(&out) {
+        match RecordData::decode(&out) {
             Ok(v) => assert_eq!(v.encode(), out, "field at byte {at}"),
             Err(LedgerError::Corrupt(_)) => corrupt += 1,
             Err(e) => panic!("field at byte {at}: expected Corrupt, got {e}"),
         }
     }
-    assert_eq!(corrupt, P::BOUNDED_FIELDS);
-}
-
-#[test]
-fn oversized_lengths_and_counts_are_corrupt() {
-    check_oversized_fields::<RecordData>();
-    check_oversized_fields::<CatalogRecord>();
+    assert_eq!(corrupt, BOUNDED_FIELDS);
 }
 
 /// Numbers, strings (with shared prefixes and a two-byte character, so
 /// front-coding meets UTF-8 boundaries) and metric maps: the raw
-/// material [`record`] and [`event`] build payloads from.
+/// material [`record`] builds payloads from.
 type Parts = (Vec<u64>, Vec<String>, Vec<BTreeMap<String, u64>>);
 
 fn arb_parts() -> impl Strategy<Value = Parts> {
@@ -186,35 +167,13 @@ fn record((n, s, m): Parts) -> RecordData {
     }
 }
 
-fn event((n, s, m): Parts) -> CatalogRecord {
-    let status = [
-        JobStatus::Submitted,
-        JobStatus::Completed,
-        JobStatus::Failed,
-    ];
-    CatalogRecord {
-        job_id: n[0],
-        status: status[n[2] as usize % 3],
-        timestamp_unix_secs: n[1],
-        spec: JobSpec {
-            workload: s[0].clone(),
-            design: s[1].clone(),
-            scale: s[2].clone(),
-        },
-        elapsed_micros: n[3],
-        error: s[3].clone(),
-        metrics: m[0].clone(),
-    }
-}
-
 proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..96)) {
         // Also behind a current schema version, so decoding gets past
         // its first field.
         for b in [bytes.clone(), [&[1u8][..], &bytes].concat()] {
-            check_total::<RecordData>(&b);
-            check_total::<CatalogRecord>(&b);
+            check_total(&b);
         }
     }
 
@@ -224,23 +183,14 @@ proptest! {
         flip in any::<usize>(),
         bump in prop_oneof![1u64..4, any::<u64>()],
     ) {
-        check_encoding(&record(parts.clone()), flip, bump);
-        check_encoding(&event(parts), flip, bump);
+        check_encoding(&record(parts), flip, bump);
     }
 }
 
-/// `value` encodes to exactly the `golden` hex bytes and decodes back.
-fn check_golden<P: Fuzzed>(value: &P, golden: &str) {
-    let bytes = value.encode();
-    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-    assert_eq!(hex, golden);
-    assert_eq!(&P::decode(&bytes).unwrap(), value);
-}
-
-/// Both encodings, byte for byte as written before the payloads shared
-/// one metric-map codec: existing ledger and catalog files still decode.
+/// The encoding, byte for byte as written before the payload's maps
+/// shared one metric-map codec: existing ledger files still decode.
 #[test]
-fn golden_bytes_pin_both_formats() {
+fn golden_bytes_pin_the_ledger_format() {
     let rec = RecordData {
         timestamp_unix_secs: 1_700_000_000,
         elapsed_micros: 1_234_567,
@@ -271,22 +221,8 @@ fn golden_bytes_pin_both_formats() {
         "02010011636f72652e706f6c622e656e7472696573200100137370616e2e706f",
         "745f77616c6b2e6e616e6f730ae80790035aac029003027b7d",
     );
-    check_golden(&rec, golden);
-
-    let spec = JobSpec {
-        workload: "BST:RANDOM".into(),
-        design: "pipelined".into(),
-        scale: "quick".into(),
-    };
-    let metrics = BTreeMap::from([
-        ("sim.result.cycles".to_string(), 123_456_789),
-        ("sim.result.polb_hits".to_string(), 42),
-    ]);
-    let ev = CatalogRecord::completed(7, spec, 1_700_000_009, 9_000_000, metrics);
-    let golden = concat!(
-        "01070189e2cfaa06c0a8a5040a4253543a52414e444f4d09706970656c696e65",
-        "6405717569636b0002001173696d2e726573756c742e6379636c6573959aef3a",
-        "0b09706f6c625f686974732a",
-    );
-    check_golden(&ev, golden);
+    let bytes = rec.encode();
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, golden);
+    assert_eq!(RecordData::decode(&bytes).unwrap(), rec);
 }

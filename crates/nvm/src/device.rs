@@ -411,10 +411,13 @@ impl NvmDevice {
     pub fn fence(&mut self) {
         self.stats.fences += 1;
         self.telemetry.fences.inc();
-        let pending = std::mem::take(&mut self.pending_lines);
-        for (line, data) in pending {
+        // Drain in place and put the emptied table back, so its
+        // allocation outlives the fence.
+        let mut pending = std::mem::take(&mut self.pending_lines);
+        for (line, data) in pending.drain() {
             self.write_durable_line(line, &data);
         }
+        self.pending_lines = pending;
         self.boundary(BoundaryKind::Fence);
     }
 

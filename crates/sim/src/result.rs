@@ -79,8 +79,7 @@ impl SimResult {
     }
 
     /// Every published quantity under its `sim.result.*` name — the one
-    /// list [`publish`](Self::publish) and the serve catalog's stored
-    /// metrics both derive from.
+    /// list [`publish`](Self::publish) derives from.
     pub fn series(&self) -> [(&'static str, u64); 16] {
         [
             ("sim.result.cycles", self.cycles),

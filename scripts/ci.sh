@@ -78,32 +78,6 @@ echo "==> repro crash-sweep smoke (offline)"
 cargo run --release -p poat-harness --bin repro --locked --offline -- \
   crash-sweep --scale quick --max-points 40 --ledger "$ledger"
 
-echo "==> repro serve smoke (offline)"
-# Serve mode end to end (docs/OBSERVABILITY.md): submit two quick jobs
-# into a temp spool, drain them with a serve session, then the observer
-# CLIs must see both completed with recorded metrics in the durable
-# catalog.
-spool="$trace_dir/spool"
-catalog="$trace_dir/catalog.poatcat"
-cargo run --release -p poat-harness --bin repro --locked --offline -- \
-  submit LL:ALL pipelined quick --spool "$spool"
-cargo run --release -p poat-harness --bin repro --locked --offline -- \
-  submit BST:RANDOM ideal quick --spool "$spool"
-cargo run --release -p poat-harness --bin repro --locked --offline -- \
-  serve --spool "$spool" --catalog "$catalog" --drain
-test -s "$catalog"
-cargo run --release -p poat-harness --bin repro --locked --offline -- \
-  jobs --spool "$spool" --catalog "$catalog" | tee "$trace_dir/jobs.txt"
-grep -q '0 pending, 0 running, 2 completed, 0 failed' "$trace_dir/jobs.txt"
-cargo run --release -p poat-harness --bin repro --locked --offline -- \
-  catalog query --catalog "$catalog" --metric sim.result.cycles \
-  | tee "$trace_dir/catalog_query.txt"
-grep -q '2 job(s) matched' "$trace_dir/catalog_query.txt"
-# Both jobs project a real cycle count (a bare `-` would mean a job
-# completed without metrics).
-[[ "$(grep -c 'completed' "$trace_dir/catalog_query.txt")" -ge 2 ]]
-! grep -E 'completed.* -$' "$trace_dir/catalog_query.txt"
-
 echo "==> bench smoke + comparator (non-blocking, offline)"
 # Smoke-scale pass over the full suite: proves every benchmark body
 # still runs, then diffs against the latest committed BENCH_*.json.
