@@ -14,18 +14,6 @@ pub enum Severity {
     Error,
 }
 
-impl Severity {
-    /// Parses a severity name as written in `analyzer.toml`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "note" | "allow" => Some(Severity::Note),
-            "warn" | "warning" => Some(Severity::Warning),
-            "deny" | "error" => Some(Severity::Error),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -42,7 +30,7 @@ impl fmt::Display for Severity {
 pub struct Diagnostic {
     /// Rule identifier (e.g. `magic-latency`).
     pub rule: &'static str,
-    /// Severity after config overrides are applied.
+    /// The reporting rule's severity ([`crate::Rule::default_severity`]).
     pub severity: Severity,
     /// Workspace-relative path with forward slashes.
     pub file: String,
@@ -61,13 +49,6 @@ impl Diagnostic {
             "{}:{}: {}[{}] {}",
             self.file, self.line, self.severity, self.rule, self.message
         )
-    }
-
-    /// The `file:line` key used by allowlists and baselines. File-level
-    /// findings use line 0, so `path:0` (or the bare path in an
-    /// allowlist) matches them.
-    pub fn location_key(&self) -> String {
-        format!("{}:{}", self.file, self.line)
     }
 }
 
@@ -134,7 +115,6 @@ mod tests {
             d.render(),
             "crates/sim/src/xlate.rs:42: warning[magic-latency] bare literal `30` in cost position"
         );
-        assert_eq!(d.location_key(), "crates/sim/src/xlate.rs:42");
     }
 
     #[test]
@@ -154,10 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn severity_parse_and_order() {
-        assert_eq!(Severity::parse("warn"), Some(Severity::Warning));
-        assert_eq!(Severity::parse("deny"), Some(Severity::Error));
-        assert_eq!(Severity::parse("allow"), Some(Severity::Note));
+    fn severity_order() {
         assert!(Severity::Note < Severity::Warning);
         assert!(Severity::Warning < Severity::Error);
     }

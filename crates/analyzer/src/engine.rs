@@ -2,7 +2,6 @@
 //! Workspace loading, test-region detection, and the rule-running
 //! engine.
 
-use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::lexer::{self, Lexed};
 use crate::rules::Rule;
@@ -227,26 +226,14 @@ fn walk(root: &Path, dir: &Path, files: &mut Vec<SourceFile>) -> Result<(), Stri
     Ok(())
 }
 
-/// Runs every rule over the workspace and applies config overrides:
-/// allowlisted findings are dropped, `level` overrides replace the
-/// rule's default severity. Findings come back sorted by file, line,
-/// then rule.
-pub fn run(ws: &Workspace, rules: &[Box<dyn Rule>], config: &Config) -> Vec<Diagnostic> {
+/// Runs every rule over the workspace. Each finding keeps its rule's
+/// own severity; findings come back sorted by file, line, then rule.
+pub fn run(ws: &Workspace, rules: &[Box<dyn Rule>]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for rule in rules {
-        let mut found = Vec::new();
-        rule.check(ws, &mut found);
-        let level = config.level(rule.id());
-        for mut d in found {
-            debug_assert_eq!(d.rule, rule.id());
-            if config.is_allowed(d.rule, &d.file, d.line) {
-                continue;
-            }
-            if let Some(level) = level {
-                d.severity = level;
-            }
-            diags.push(d);
-        }
+        let start = diags.len();
+        rule.check(ws, &mut diags);
+        debug_assert!(diags[start..].iter().all(|d| d.rule == rule.id()));
     }
     diags.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     diags

@@ -18,10 +18,10 @@
 //!   ([`lexer`]) is sufficient for token-stream rules.
 //! * **Machine-readable output.** `file:line: severity[rule] message`
 //!   text, or `--json`.
-//! * **Baselines, not suppressions-in-code.** `analyzer.toml` carries
-//!   per-rule severity overrides and `file`/`file:line` allowlists
-//!   ([`config`]), so pre-existing debt can be burned down without
-//!   littering the source with attribute noise.
+//! * **No suppressions.** Every finding is reported at its rule's own
+//!   severity. There is no allowlist file and no in-source attribute:
+//!   a finding is fixed in the code, or the rule is fixed and gains a
+//!   fixture case.
 //!
 //! The rules themselves are documented in [`rules`] and, with their
 //! paper rationale, in `docs/ANALYZER.md`.
@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod cfg;
-pub mod config;
 pub mod dataflow;
 pub mod diag;
 pub mod engine;
@@ -38,7 +37,6 @@ pub mod ir;
 pub mod lexer;
 pub mod rules;
 
-pub use config::Config;
 pub use diag::{Diagnostic, Severity};
 pub use engine::{run, SourceFile, Workspace};
 pub use rules::{all_rules, Rule};

@@ -2,8 +2,8 @@
 //! `poat-analyze`: the CLI for the POAT static-analysis pass.
 //!
 //! ```text
-//! poat-analyze [--root DIR] [--config PATH] [--json] [--deny-warnings]
-//!              [--write-baseline PATH] [--list-rules] [--explain RULE]
+//! poat-analyze [--root DIR] [--json] [--deny-warnings] [--list-rules]
+//!              [--explain RULE]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings (errors always; warnings only
@@ -11,39 +11,35 @@
 //! `0` after printing the rule's catalogue entry and rationale, or `2`
 //! for an unknown rule id.
 
-use poat_analyzer::{all_rules, Config, Severity, Workspace};
+use poat_analyzer::{all_rules, Severity, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
-    config: Option<PathBuf>,
     json: bool,
     deny_warnings: bool,
-    write_baseline: Option<PathBuf>,
     list_rules: bool,
     explain: Option<String>,
 }
 
-const USAGE: &str = "usage: poat-analyze [--root DIR] [--config PATH] [--json] \
-[--deny-warnings] [--write-baseline PATH] [--list-rules] [--explain RULE]\n\n\
-Static-analysis gate for the POAT workspace; see docs/ANALYZER.md.\n\
-  --root DIR             workspace root to analyze (default: .)\n\
-  --config PATH          analyzer.toml (default: <root>/analyzer.toml if present)\n\
-  --json                 emit findings as JSON\n\
-  --deny-warnings        exit non-zero on warnings, not just errors\n\
-  --write-baseline PATH  append current findings to the allowlists and write PATH\n\
-  --list-rules           print the rule catalogue and exit\n\
-  --explain RULE         print one rule's catalogue entry and paper rationale,\n\
-                         then exit (0 on success, 2 for an unknown rule id)\n";
+const USAGE: &str = "\
+usage: poat-analyze [--root DIR] [--json] [--deny-warnings] [--list-rules] [--explain RULE]
+
+Static-analysis gate for the POAT workspace; see docs/ANALYZER.md.
+  --root DIR        workspace root to analyze (default: .)
+  --json            emit findings as JSON
+  --deny-warnings   exit non-zero on warnings, not just errors
+  --list-rules      print the rule catalogue and exit
+  --explain RULE    print one rule's catalogue entry and paper rationale,
+                    then exit (0 on success, 2 for an unknown rule id)
+";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        config: None,
         json: false,
         deny_warnings: false,
-        write_baseline: None,
         list_rules: false,
         explain: None,
     };
@@ -51,16 +47,8 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--root" => args.root = PathBuf::from(it.next().ok_or("--root needs a value")?),
-            "--config" => {
-                args.config = Some(PathBuf::from(it.next().ok_or("--config needs a value")?))
-            }
             "--json" => args.json = true,
             "--deny-warnings" => args.deny_warnings = true,
-            "--write-baseline" => {
-                args.write_baseline = Some(PathBuf::from(
-                    it.next().ok_or("--write-baseline needs a value")?,
-                ))
-            }
             "--list-rules" => args.list_rules = true,
             "--explain" => args.explain = Some(it.next().ok_or("--explain needs a rule id")?),
             "-h" | "--help" => {
@@ -110,28 +98,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let config_path = args.config.clone().or_else(|| {
-        let p = args.root.join("analyzer.toml");
-        p.is_file().then_some(p)
-    });
-    let mut config = Config::default();
-    if let Some(path) = &config_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("poat-analyze: read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        config = match Config::parse(&text) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("poat-analyze: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-    }
-
     let ws = match Workspace::load(&args.root) {
         Ok(ws) => ws,
         Err(e) => {
@@ -139,33 +105,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let diags = poat_analyzer::run(&ws, &rules, &config);
-
-    if let Some(path) = &args.write_baseline {
-        let mut baseline = config.clone();
-        for d in &diags {
-            baseline
-                .rules
-                .entry(d.rule.to_string())
-                .or_default()
-                .allow
-                .push(d.location_key());
-        }
-        for rc in baseline.rules.values_mut() {
-            rc.allow.sort();
-            rc.allow.dedup();
-        }
-        if let Err(e) = std::fs::write(path, baseline.render()) {
-            eprintln!("poat-analyze: write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "poat-analyze: baselined {} finding(s) into {}",
-            diags.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
+    let diags = poat_analyzer::run(&ws, &rules);
 
     if args.json {
         print!("{}", poat_analyzer::diag::render_json(&diags));

@@ -13,9 +13,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// A single analysis rule.
 pub trait Rule {
-    /// Stable rule id, used in diagnostics and `analyzer.toml`.
+    /// Stable rule id, used in diagnostics and by `--explain`.
     fn id(&self) -> &'static str;
-    /// Default severity when `analyzer.toml` does not override it.
+    /// The severity every finding of this rule carries.
     fn default_severity(&self) -> Severity;
     /// One-line description for `--list-rules`.
     fn description(&self) -> &'static str;
@@ -1053,8 +1053,7 @@ impl Rule for PersistBeforeCommit {
 /// simulated at that boundary; (b) every *call site* of the persist
 /// family outside the family's own bodies must carry a
 /// `// faultpoint: <justification>` comment within the two preceding
-/// lines, tying the site to the sweep that covers it. Sites can instead
-/// be baselined in `analyzer.toml` with a justification.
+/// lines, tying the site to the sweep that covers it.
 pub struct FaultpointCoverage;
 
 /// Persist-family callees whose *call sites* must be annotated.

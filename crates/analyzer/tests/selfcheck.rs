@@ -4,19 +4,12 @@
 //! --deny-warnings`, run in-process so `cargo test` catches violations
 //! without the extra binary invocation.
 
-use poat_analyzer::{all_rules, run, Config, Workspace};
+use poat_analyzer::{all_rules, run, Workspace};
 use std::path::Path;
 
 #[test]
 fn workspace_is_clean_under_all_rules() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-    let config_path = root.join("analyzer.toml");
-    let config = if config_path.is_file() {
-        let text = std::fs::read_to_string(&config_path).expect("readable analyzer.toml");
-        Config::parse(&text).expect("valid analyzer.toml")
-    } else {
-        Config::default()
-    };
     let ws = Workspace::load(&root).expect("workspace loads");
     assert!(
         ws.files.len() > 40,
@@ -26,7 +19,7 @@ fn workspace_is_clean_under_all_rules() {
     assert!(ws.file("crates/telemetry/src/events.rs").is_some());
     assert!(ws.file("docs/METRICS.md").is_some());
 
-    let diags = run(&ws, &all_rules(), &config);
+    let diags = run(&ws, &all_rules());
     assert!(
         diags.is_empty(),
         "workspace must be clean; run `cargo run -p poat-analyzer --bin poat-analyze` for details:\n{}",

@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use poat_core::polb::{ParallelPolb, PipelinedPolb, TranslationBuffer};
-use poat_core::{ObjectId, PoolId, Pot, VirtAddr};
+use poat_core::polb::Polb;
+use poat_core::{ObjectId, PolbDesign, PoolId, Pot, VirtAddr};
 use poat_harness::artifact::first_difference;
 use poat_harness::experiments::{self, MainResults};
 use poat_harness::Scale;
@@ -157,8 +157,8 @@ fn encode(ops: &[TraceOp]) -> Trace {
 /// both designs, the miss path, and hardware POT walks.
 fn translation_benches(r: &mut Runner) {
     // POLB hit-path look-up, both designs, 32 entries (paper default).
-    let mut pipe = PipelinedPolb::new(32);
-    let mut par = ParallelPolb::new(32);
+    let mut pipe = Polb::new(PolbDesign::Pipelined, 32);
+    let mut par = Polb::new(PolbDesign::Parallel, 32);
     for i in 1..=32u32 {
         let o = ObjectId::new(pool(i), 0);
         pipe.fill(o, (i as u64) << 32);
@@ -184,7 +184,7 @@ fn translation_benches(r: &mut Runner) {
     }
     {
         // Misses against a filled CAM: every look-up scans and fails.
-        let mut pipe = PipelinedPolb::new(32);
+        let mut pipe = Polb::new(PolbDesign::Pipelined, 32);
         for i in 1..=32u32 {
             pipe.fill(ObjectId::new(pool(i), 0), (i as u64) << 32);
         }

@@ -6,14 +6,14 @@
 //! **ObjectIDs** as a persistent address space that sits on top of virtual
 //! memory, translated in hardware by two cooperating structures:
 //!
-//! * the [`polb::PipelinedPolb`] / [`polb::ParallelPolb`] — a small,
-//!   CAM-organized **Persistent Object Look-aside Buffer** inside the core
-//!   (analogous to a TLB), and
+//! * the [`polb::Polb`] — a small, CAM-organized **Persistent Object
+//!   Look-aside Buffer** inside the core (analogous to a TLB), and
 //! * the [`pot::Pot`] — the **Persistent Object Table**, an in-memory,
 //!   linearly-probed hash table walked by hardware on a POLB miss
 //!   (analogous to a page table).
 //!
-//! Two microarchitectural designs are modeled (paper §4.1):
+//! Two microarchitectural designs are modeled (paper §4.1); a
+//! [`PolbDesign`] selects one, fixing what a POLB entry tags and holds:
 //!
 //! | design | POLB tag | POLB data | placed | miss handling |
 //! |--------|----------|-----------|--------|---------------|
@@ -23,15 +23,15 @@
 //! ## Example
 //!
 //! ```
-//! use poat_core::{ObjectId, PoolId, VirtAddr};
-//! use poat_core::polb::{PipelinedPolb, TranslationBuffer};
+//! use poat_core::{ObjectId, PolbDesign, PoolId, VirtAddr};
+//! use poat_core::polb::Polb;
 //! use poat_core::pot::Pot;
 //!
 //! let mut pot = Pot::new(1024);
 //! let pool = PoolId::new(7).unwrap();
 //! pot.insert(pool, VirtAddr::new(0x7000_0000)).unwrap();
 //!
-//! let mut polb = PipelinedPolb::new(32);
+//! let mut polb = Polb::new(PolbDesign::Pipelined, 32);
 //! let oid = ObjectId::new(pool, 0x10);
 //! // First access misses the POLB and is filled from the POT.
 //! assert!(polb.translate(oid).is_none());

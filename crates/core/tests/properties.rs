@@ -2,12 +2,67 @@
 
 use std::collections::HashMap;
 
-use poat_core::polb::{ParallelPolb, PipelinedPolb, TranslationBuffer};
-use poat_core::{ObjectId, PoolId, Pot, VirtAddr};
+use poat_core::polb::Polb;
+use poat_core::stats::PolbStats;
+use poat_core::{ObjectId, PolbDesign, PoolId, Pot, VirtAddr, PAGE_BYTES};
 use proptest::prelude::*;
 
 fn pool_id() -> impl Strategy<Value = PoolId> {
     (1u32..5000).prop_map(|p| PoolId::new(p).expect("non-zero"))
+}
+
+/// A reference true-LRU POLB: `(tag, data)` entries in recency order,
+/// least recently used first.
+struct LruModel {
+    design: PolbDesign,
+    capacity: usize,
+    entries: Vec<(u64, u64)>,
+    hits: u64,
+    misses: u64,
+}
+
+impl LruModel {
+    fn tag(&self, oid: ObjectId) -> u64 {
+        match self.design {
+            PolbDesign::Pipelined => oid.pool_raw() as u64,
+            PolbDesign::Parallel => oid.page_tag(),
+        }
+    }
+
+    /// Moves the entry tagged `tag` to the most-recent end; returns it.
+    fn touch(&mut self, tag: u64) -> Option<&mut (u64, u64)> {
+        let i = self.entries.iter().position(|e| e.0 == tag)?;
+        let e = self.entries.remove(i);
+        self.entries.push(e);
+        self.entries.last_mut()
+    }
+
+    fn translate(&mut self, oid: ObjectId) -> Option<u64> {
+        let Some(&mut (_, data)) = self.touch(self.tag(oid)) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        Some(match self.design {
+            PolbDesign::Pipelined => data + oid.offset() as u64,
+            PolbDesign::Parallel => data + oid.offset() as u64 % PAGE_BYTES,
+        })
+    }
+
+    fn fill(&mut self, oid: ObjectId, data: u64) {
+        let tag = self.tag(oid);
+        if self.capacity == 0 {
+            return;
+        }
+        if let Some(e) = self.touch(tag) {
+            e.1 = data;
+            return;
+        }
+        if self.entries.len() == self.capacity {
+            self.entries.remove(0);
+        }
+        self.entries.push((tag, data));
+    }
 }
 
 proptest! {
@@ -33,14 +88,14 @@ proptest! {
     }
 
     /// The pipelined POLB agrees with a reference map for every
-    /// fill/translate/invalidate sequence, modulo capacity evictions:
+    /// fill/translate sequence, modulo capacity evictions:
     /// a hit must always return the reference translation.
     #[test]
     fn pipelined_polb_hits_are_always_correct(
         cap in 1usize..16,
         ops in prop::collection::vec((1u32..12, 0u32..4096, any::<bool>()), 1..200),
     ) {
-        let mut polb = PipelinedPolb::new(cap);
+        let mut polb = Polb::new(PolbDesign::Pipelined, cap);
         let mut reference: HashMap<u32, u64> = HashMap::new();
         for (pool_raw, off, is_fill) in ops {
             let pool = PoolId::new(pool_raw).expect("non-zero");
@@ -64,7 +119,7 @@ proptest! {
         fills in prop::collection::vec((1u32..8, 0u32..16), 1..64),
         probes in prop::collection::vec((1u32..8, 0u32..65536), 1..64),
     ) {
-        let mut polb = ParallelPolb::new(cap);
+        let mut polb = Polb::new(PolbDesign::Parallel, cap);
         let mut frames: HashMap<u64, u64> = HashMap::new();
         for (i, (pool_raw, page)) in fills.iter().enumerate() {
             let oid = ObjectId::new(PoolId::new(*pool_raw).expect("non-zero"), page * 4096);
@@ -80,6 +135,37 @@ proptest! {
                 prop_assert_eq!(pa & 0xFFF, off as u64 & 0xFFF, "page offset mangled");
             }
         }
+    }
+
+    /// The POLB of either design is exactly a true-LRU cache: every
+    /// translate/fill sequence hits and misses where a reference LRU
+    /// list does, returns the reference's address on every hit, and
+    /// ends with the reference's hit and miss counts.
+    #[test]
+    fn polb_matches_a_reference_lru(
+        design in prop_oneof![Just(PolbDesign::Pipelined), Just(PolbDesign::Parallel)],
+        cap in 0usize..=8,
+        ops in prop::collection::vec(
+            (any::<bool>(), 1u32..5, 0u32..4, 0u32..4096, 1u64..1024),
+            1..200,
+        ),
+    ) {
+        let mut polb = Polb::new(design, cap);
+        let mut model = LruModel { design, capacity: cap, entries: Vec::new(), hits: 0, misses: 0 };
+        for (is_fill, pool_raw, page, off, data) in ops {
+            let pool = PoolId::new(pool_raw).expect("non-zero");
+            let oid = ObjectId::new(pool, page * PAGE_BYTES as u32 + off);
+            if is_fill {
+                // Frame-aligned data suits both designs.
+                let data = data * PAGE_BYTES;
+                polb.fill(oid, data);
+                model.fill(oid, data);
+            } else {
+                prop_assert_eq!(polb.translate(oid), model.translate(oid), "{:?} {:?}", design, oid);
+            }
+        }
+        prop_assert_eq!(polb.capacity(), cap);
+        prop_assert_eq!(*polb.stats(), PolbStats { hits: model.hits, misses: model.misses });
     }
 
     /// The POT behaves like a map for arbitrary insert/remove/walk mixes,

@@ -171,6 +171,19 @@ impl Fail {
     }
 }
 
+/// Prints `line` and a newline to stdout, the one way `repro` writes
+/// there. A reader that closed stdout early (`repro … | head`) only
+/// loses the rest of the output: the run still writes its files and its
+/// ledger record and exits with its own code. Any other write error is
+/// an unwritable output.
+fn print_line(line: impl Display) -> Result<(), Fail> {
+    use std::io::{ErrorKind, Write};
+    match writeln!(std::io::stdout(), "{line}") {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(Fail::io("writing", "stdout")(e)),
+        _ => Ok(()),
+    }
+}
+
 /// One subcommand's command line: its flags in the order given (a
 /// switch's value is empty).
 struct Args<'a> {
@@ -395,7 +408,7 @@ fn print_record_diff(
     b: &poat_ledger::LedgerRecord,
     metric: Option<&str>,
 ) -> Result<(), Fail> {
-    println!(
+    print_line(format!(
         "diff {} ({} @ {}) -> {} ({} @ {})",
         a.run_id(),
         a.data.command,
@@ -403,11 +416,11 @@ fn print_record_diff(
         b.run_id(),
         b.data.command,
         b.data.timestamp_unix_secs
-    );
+    ))?;
     if let Some(name) = metric {
         return match (a.data.metric(name), b.data.metric(name)) {
             (Some(va), Some(vb)) => {
-                println!("{name}: {va} -> {vb}  {}", delta(va, vb, 1));
+                print_line(format!("{name}: {va} -> {vb}  {}", delta(va, vb, 1)))?;
                 Ok(())
             }
             (va, vb) => Err(Fail::Run(format!(
@@ -436,9 +449,9 @@ fn print_record_diff(
     changed.sort_by(|x, y| y.3.total_cmp(&x.3));
     const SHOW: usize = 20;
     for (name, va, vb, _) in changed.iter().take(SHOW) {
-        println!("{name}: {va} -> {vb}  {}", delta(*va, *vb, 1));
+        print_line(format!("{name}: {va} -> {vb}  {}", delta(*va, *vb, 1)))?;
     }
-    println!(
+    print_line(format!(
         "{} of {} metrics changed{}",
         changed.len(),
         total,
@@ -447,7 +460,7 @@ fn print_record_diff(
         } else {
             String::new()
         }
-    );
+    ))?;
     Ok(())
 }
 
@@ -517,11 +530,11 @@ fn report_main(args: &Args) -> Result<ExitCode, Fail> {
                         .unwrap_or_else(|| "-".to_string()),
                 ]);
             }
-            println!("{}", t.render());
+            print_line(t.render())?;
             if let [.., prev, newest] = shown {
                 if let (Some(va), Some(vb)) = (prev.data.metric(name), newest.data.metric(name)) {
                     let (p, n) = (prev.run_id(), newest.run_id());
-                    println!("delta {p} -> {n}: {}", delta(va, vb, 2));
+                    print_line(format!("delta {p} -> {n}: {}", delta(va, vb, 2)))?;
                 }
             }
         }
@@ -550,10 +563,13 @@ fn report_main(args: &Args) -> Result<ExitCode, Fail> {
                         .to_string(),
                 ]);
             }
-            println!("{}", t.render());
+            print_line(t.render())?;
         }
     }
-    println!("{} records in {ledger_path}", ledger.records().len());
+    print_line(format!(
+        "{} records in {ledger_path}",
+        ledger.records().len()
+    ))?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -664,8 +680,9 @@ fn crash_sweep_main(args: &Args) -> Result<ExitCode, Fail> {
         Some(((bench, pattern), (point, seed))) => {
             let mode = opts.modes.first().copied().unwrap_or_default();
             crash_sweep::replay(bench, pattern, scale, point, seed, mode)
-                .map(|out| {
-                    println!(
+                .map_err(|e| Fail::Run(format!("replay failed: {e}")))
+                .and_then(|out| {
+                    print_line(format!(
                         "replay {}/{} point {point} seed {seed} [{}]: tripped={} undo_applied={} digest={:016x}",
                         bench.abbrev(),
                         pattern.label(),
@@ -673,20 +690,19 @@ fn crash_sweep_main(args: &Args) -> Result<ExitCode, Fail> {
                         out.tripped,
                         out.undo_applied,
                         out.digest
-                    );
+                    ))?;
                     for v in &out.violations {
-                        println!("VIOLATION: {v}");
+                        print_line(format!("VIOLATION: {v}"))?;
                     }
-                    !out.violations.is_empty() && mode != InjectMode::DropClwb
+                    Ok(!out.violations.is_empty() && mode != InjectMode::DropClwb)
                 })
-                .map_err(|e| Fail::Run(format!("replay failed: {e}")))
         }
         None => crash_sweep::sweep(&opts)
-            .map(|reports| {
-                println!("{}", crash_sweep::sweep_text(&reports));
-                crash_sweep::total_violations(&reports) > 0
-            })
-            .map_err(|e| Fail::Run(format!("crash sweep failed: {e}"))),
+            .map_err(|e| Fail::Run(format!("crash sweep failed: {e}")))
+            .and_then(|reports| {
+                print_line(crash_sweep::sweep_text(&reports))?;
+                Ok(crash_sweep::total_violations(&reports) > 0)
+            }),
     };
 
     if let Some(path) = &trace_path {
@@ -776,14 +792,14 @@ fn trace_roundtrip_main(args: &Args) -> Result<ExitCode, Fail> {
             );
             cell_ok = false;
         }
-        println!(
+        print_line(format!(
             "{:>4}/{:<6} {:>9} ops  {:>10} bytes  {bpo:>5.2} B/op  {}",
             bench.abbrev(),
             pattern.label(),
             ops,
             bytes,
             if cell_ok { "ok" } else { "FAILED" }
-        );
+        ))?;
         failures += u32::from(!cell_ok);
     }
     if cleanup {
@@ -831,7 +847,7 @@ fn artifact_main(artifact: &str, args: &Args) -> Result<ExitCode, Fail> {
 
     if wants("table2") {
         let rows = timed("table2", || experiments::table2(scale));
-        println!("{}", table2_text(&rows));
+        print_line(table2_text(&rows))?;
         if let Some(dir) = &csv_dir {
             csv::table2(dir, &rows).map_err(Fail::io("writing", dir.display()))?;
         }
@@ -840,16 +856,16 @@ fn artifact_main(artifact: &str, args: &Args) -> Result<ExitCode, Fail> {
     if wants("fig9a") || wants("fig9b") || wants("table8") || wants("instrs") {
         let main = timed("main_matrix", || experiments::main_matrix(scale));
         if wants("fig9a") {
-            println!("{}", fig9a_text(&main.fig9a));
+            print_line(fig9a_text(&main.fig9a))?;
         }
         if wants("fig9b") {
-            println!("{}", fig9b_text(&main.fig9b));
+            print_line(fig9b_text(&main.fig9b))?;
         }
         if wants("table8") {
-            println!("{}", table8_text(&main.table8));
+            print_line(table8_text(&main.table8))?;
         }
         if wants("instrs") {
-            println!("{}", instrs_text(&main.instrs));
+            print_line(instrs_text(&main.instrs))?;
         }
         if let Some(dir) = &csv_dir {
             csv::main_results(dir, &main).map_err(Fail::io("writing", dir.display()))?;
@@ -858,7 +874,7 @@ fn artifact_main(artifact: &str, args: &Args) -> Result<ExitCode, Fail> {
     }
     if wants("fig10") {
         let rows = timed("fig10", || experiments::fig10(scale));
-        println!("{}", fig10_text(&rows));
+        print_line(fig10_text(&rows))?;
         if let Some(dir) = &csv_dir {
             csv::fig10(dir, &rows).map_err(Fail::io("writing", dir.display()))?;
         }
@@ -867,10 +883,10 @@ fn artifact_main(artifact: &str, args: &Args) -> Result<ExitCode, Fail> {
     if wants("fig11") || wants("table9") {
         let rows = timed("fig11", || experiments::fig11(scale));
         if wants("fig11") {
-            println!("{}", fig11_text(&rows));
+            print_line(fig11_text(&rows))?;
         }
         if wants("table9") {
-            println!("{}", table9_text(&rows));
+            print_line(table9_text(&rows))?;
         }
         if let Some(dir) = &csv_dir {
             csv::fig11(dir, &rows).map_err(Fail::io("writing", dir.display()))?;
@@ -879,7 +895,7 @@ fn artifact_main(artifact: &str, args: &Args) -> Result<ExitCode, Fail> {
     }
     if wants("fig12") {
         let rows = timed("fig12", || experiments::fig12(scale));
-        println!("{}", fig12_text(&rows));
+        print_line(fig12_text(&rows))?;
         if let Some(dir) = &csv_dir {
             csv::fig12(dir, &rows).map_err(Fail::io("writing", dir.display()))?;
         }
@@ -887,12 +903,12 @@ fn artifact_main(artifact: &str, args: &Args) -> Result<ExitCode, Fail> {
     }
     if wants("seeds") {
         let rows = timed("seeds", || experiments::seeds(scale, 5));
-        println!("{}", experiments::seeds_text(&rows));
+        print_line(experiments::seeds_text(&rows))?;
         json.insert("seeds".into(), to_json(&rows));
     }
     if wants("ablations") {
         let r = timed("ablations", || ablations::all(scale));
-        println!("{}", ablations::all_text(&r));
+        print_line(ablations::all_text(&r))?;
         if let Some(dir) = &csv_dir {
             csv::ablations(dir, &r).map_err(Fail::io("writing", dir.display()))?;
         }
@@ -906,7 +922,7 @@ fn artifact_main(artifact: &str, args: &Args) -> Result<ExitCode, Fail> {
     }
     if let Some(dir) = &timeline_dir {
         let rows = timed("timeline", || timeline::collect(scale));
-        println!("{}", timeline::text(&rows));
+        print_line(timeline::text(&rows))?;
         timeline::write_csvs(dir, &rows).map_err(Fail::io("writing", dir.display()))?;
         eprintln!("timelines written to {}", dir.display());
     }
@@ -931,13 +947,13 @@ fn artifact_main(artifact: &str, args: &Args) -> Result<ExitCode, Fail> {
     }
     let phases = phase_latency_text(&snapshot);
     if !phases.is_empty() {
-        println!("{phases}");
+        print_line(phases)?;
     }
     if let Some((prof, profiled)) = &profile_snap {
         if prof.is_empty() {
             eprintln!("profile: nothing recorded (no profiled scopes ran)");
         } else {
-            println!("{}", profile_text(prof, *profiled));
+            print_line(profile_text(prof, *profiled))?;
             let (self_sum, root_total) = (prof.total_self_nanos(), prof.root_total_nanos());
             eprintln!(
                 "profile: self-times cover {self_sum} of {root_total} root ns ({:.3}%)",
@@ -978,7 +994,7 @@ fn run(args: &[String]) -> Result<ExitCode, Fail> {
         return Err(Fail::Input("missing artifact or subcommand".into()));
     };
     if first == "help" || args.iter().any(|a| a == "-h" || a == "--help") {
-        println!("{}", help_text());
+        print_line(help_text())?;
         return Ok(ExitCode::SUCCESS);
     }
     let cmd = select(first)?;

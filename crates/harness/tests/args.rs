@@ -2,8 +2,9 @@
 //! value, an unknown artifact, an output that cannot be written — exits
 //! 2 with a targeted error, and the ledger → `repro report` → flamegraph
 //! loop closes — two runs make two queryable records and a non-empty
-//! collapsed-stack export. The flag table itself (help, missing values,
-//! unknown flags) is checked in-process by `main.rs`'s tests.
+//! collapsed-stack export — and a stdout closed early only drops
+//! output. The flag table itself (help, missing values, unknown flags)
+//! is checked in-process by `main.rs`'s tests.
 
 use std::process::Command;
 
@@ -19,6 +20,35 @@ fn help_exits_zero_with_the_usage() {
     let out = repro(&["--help"]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: repro "));
+}
+
+#[test]
+fn a_closed_stdout_drops_output_without_a_panic() {
+    let dir = scratch("closed_stdout");
+    let none = dir.join("none");
+    let json = dir.join("r.json");
+    for args in [
+        vec!["--help"],
+        vec!["report", "--ledger", none.to_str().unwrap()],
+        vec!["table2", "--quick", "--no-ledger"],
+    ] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+        cmd.args(&args);
+        if args[0] == "table2" {
+            cmd.arg("--json").arg(&json);
+        }
+        // The reader is gone before the first write: every write to
+        // stdout fails with a broken pipe.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = cmd.stdout(writer).output().expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let line = args.join(" ");
+        assert_eq!(out.status.code(), Some(0), "`repro {line}`:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "`repro {line}`:\n{stderr}");
+    }
+    assert!(json.is_file(), "table2 still writes its --json file");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

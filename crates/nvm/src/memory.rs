@@ -13,7 +13,7 @@ use std::fmt;
 
 use poat_core::{PhysAddr, VirtAddr, PAGE_BYTES};
 
-use crate::device::{BoundaryKind, DeviceStats, FaultPlan, NvmDevice};
+use crate::device::{BoundaryKind, FaultPlan, NvmDevice};
 use crate::page_table::PageTable;
 use crate::vspace::VSpace;
 
@@ -244,11 +244,6 @@ impl NvMemory {
         self.device.crash(seed);
         self.vspace = VSpace::new(new_aslr_seed);
         self.page_table = PageTable::new();
-    }
-
-    /// Device operation counters.
-    pub fn device_stats(&self) -> DeviceStats {
-        self.device.stats()
     }
 
     /// Arms a device [`FaultPlan`] (crash-sweep campaigns); boundary

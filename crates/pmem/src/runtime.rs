@@ -840,12 +840,6 @@ impl Runtime {
         self.mem.boundary_kinds().to_vec()
     }
 
-    /// Whether an armed crash point has tripped (the process should stop
-    /// and [`crash_and_recover`](Self::crash_and_recover)).
-    pub fn fault_tripped(&self) -> bool {
-        self.mem.crash_pending()
-    }
-
     /// A pool's full current contents, read straight from the memory
     /// system with no trace traffic: state digests and diagnostics.
     ///

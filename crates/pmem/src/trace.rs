@@ -787,12 +787,6 @@ impl<'a> CheckedOps<'a> {
             trailing_checked: false,
         }
     }
-
-    /// Delta bases after the last decoded op — the snapshot to seed the
-    /// next chunk's decoder with.
-    pub fn delta_bases(&self) -> (u64, u64) {
-        (self.state.prev_va, self.state.prev_oid)
-    }
 }
 
 impl Iterator for CheckedOps<'_> {

@@ -343,11 +343,6 @@ impl SoftTranslator {
     pub fn stats(&self) -> XlatStats {
         self.stats
     }
-
-    /// Clears the predictor (process restart).
-    pub fn reset_predictor(&mut self) {
-        self.predictor = None;
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! walk (plus a page-table walk for the *Parallel* design, which must
 //! produce a physical frame — paper §4.2, Figure 7).
 
-use poat_core::polb::{ParallelPolb, PipelinedPolb, TranslationBuffer};
+use poat_core::polb::Polb;
 use poat_core::{ObjectId, PolbDesign, Pot, TranslationConfig, TranslationStats, VirtAddr};
 use poat_nvm::PageTable;
 use poat_pmem::MachineState;
@@ -32,7 +32,7 @@ pub enum TranslateOutcome {
 /// POLB + POT translation hardware for one core.
 pub struct TranslationUnit {
     cfg: TranslationConfig,
-    polb: Box<dyn TranslationBuffer>,
+    polb: Polb,
     pot: Pot,
     page_table: PageTable,
     stats: TranslationStats,
@@ -54,13 +54,9 @@ impl TranslationUnit {
     /// Builds the unit for a given configuration and end-of-run machine
     /// state (POT contents + page table) exported by the runtime.
     pub fn new(cfg: TranslationConfig, state: &MachineState) -> Self {
-        let polb: Box<dyn TranslationBuffer> = match cfg.design {
-            PolbDesign::Pipelined => Box::new(PipelinedPolb::new(cfg.polb_entries)),
-            PolbDesign::Parallel => Box::new(ParallelPolb::new(cfg.polb_entries)),
-        };
         TranslationUnit {
             cfg,
-            polb,
+            polb: Polb::new(cfg.design, cfg.polb_entries),
             pot: state.pot.clone(),
             page_table: state.page_table.clone(),
             stats: TranslationStats::default(),

@@ -233,16 +233,6 @@ impl TimelineWindow {
             self.walk_cycles as f64 / self.pot_walks as f64
         }
     }
-
-    /// Software predictor miss rate within the window (0.0 when idle).
-    pub fn soft_miss_rate(&self) -> f64 {
-        let calls = self.soft_hits + self.soft_misses;
-        if calls == 0 {
-            0.0
-        } else {
-            self.soft_misses as f64 / calls as f64
-        }
-    }
 }
 
 /// Folds `events` into per-design windows of `window` instructions,

@@ -8,8 +8,8 @@
 //! cargo run --example polb_explorer
 //! ```
 
-use poat::core::polb::{ParallelPolb, PipelinedPolb, TranslationBuffer};
-use poat::core::{ObjectId, PoolId, Pot, VirtAddr};
+use poat::core::polb::Polb;
+use poat::core::{ObjectId, PolbDesign, PoolId, Pot, VirtAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,8 +19,8 @@ fn run_stream(
     pot: &Pot,
     entries: usize,
 ) -> ((u64, u64), (u64, u64)) {
-    let mut pipe = PipelinedPolb::new(entries);
-    let mut par = ParallelPolb::new(entries);
+    let mut pipe = Polb::new(PolbDesign::Pipelined, entries);
+    let mut par = Polb::new(PolbDesign::Parallel, entries);
     for &oid in oids {
         let base = pot.lookup(oid.pool().unwrap()).expect("pool mapped");
         if pipe.translate(oid).is_none() {
