@@ -148,7 +148,16 @@ const EXCLUDED_COMPONENTS: &[&str] = &[
 impl Workspace {
     /// Loads the on-disk workspace rooted at `root`: `src/`,
     /// `crates/*/src/`, and `docs/METRICS.md`.
+    ///
+    /// # Errors
+    ///
+    /// An unreadable file, a `root` that is not a directory, or a root
+    /// with no `.rs` file under `src/` or `crates/*/src/`: a mistyped
+    /// root must fail the gate, not pass it with nothing checked.
     pub fn load(root: &Path) -> Result<Workspace, String> {
+        if !root.is_dir() {
+            return Err(format!("root {} is not a directory", root.display()));
+        }
         let mut files = Vec::new();
         let mut roots: Vec<PathBuf> = vec![root.join("src")];
         if let Ok(entries) = fs::read_dir(root.join("crates")) {
@@ -164,6 +173,12 @@ impl Workspace {
             if dir.is_dir() {
                 walk(root, &dir, &mut files)?;
             }
+        }
+        if files.is_empty() {
+            return Err(format!(
+                "no .rs file under {} (src/ or crates/*/src/)",
+                root.display()
+            ));
         }
         let metrics = root.join("docs").join("METRICS.md");
         if metrics.is_file() {

@@ -296,6 +296,7 @@ fn hot_path(path: &str) -> bool {
     path.starts_with("crates/sim/src/")
         || [
             "crates/core/src/polb.rs",
+            "crates/core/src/lru.rs",
             "crates/core/src/pot.rs",
             "crates/pmem/src/translate.rs",
             "crates/ledger/src/codec.rs",
@@ -314,7 +315,7 @@ impl Rule for UnwrapInHotPath {
         Severity::Error
     }
     fn description(&self) -> &'static str {
-        "unwrap()/expect()/panic! in hot-path library code (sim, core::polb, core::pot, pmem::translate), the ledger decoders and the repro CLI"
+        "unwrap()/expect()/panic! in hot-path library code (sim, core::polb, core::lru, core::pot, pmem::translate), the ledger decoders and the repro CLI"
     }
     fn rationale(&self) -> &'static str {
         "The hot path (simulator loop, POLB/POT hardware models, software translation) \
@@ -1381,6 +1382,7 @@ fn translation_model_path(path: &str) -> bool {
     [
         "crates/sim/src/xlate.rs",
         "crates/core/src/polb.rs",
+        "crates/core/src/lru.rs",
         "crates/core/src/pot.rs",
         "crates/pmem/src/translate.rs",
         "crates/nvm/src/device.rs",
@@ -1448,7 +1450,7 @@ impl Rule for SharedTelemetryInHotPath {
         Severity::Error
     }
     fn description(&self) -> &'static str {
-        "shared Counter/Histogram handle, span or Instant in per-event code (sim, core::polb, core::pot, pmem::translate, nvm::device); use Counter::local()/Histogram::local()"
+        "shared Counter/Histogram handle, span or Instant in per-event code (sim, core::polb, core::lru, core::pot, pmem::translate, nvm::device); use Counter::local()/Histogram::local()"
     }
     fn rationale(&self) -> &'static str {
         "Figures 11 and 12 replay millions of POLB look-ups and POT walks per sweep. A \

@@ -1,8 +1,8 @@
 // SPDX-License-Identifier: MIT OR Apache-2.0
 //! CLI contract of the `poat-analyze` binary: no flag or file can
 //! silence a finding. The retired `--config` and `--write-baseline`
-//! flags are unknown arguments, and an `analyzer.toml` left at the
-//! root is not read.
+//! flags are unknown arguments, an `analyzer.toml` left at the root is
+//! not read, and a root with nothing to analyze is a usage error.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -64,4 +64,36 @@ fn a_stray_analyzer_toml_silences_nothing() {
     );
     assert!(!stderr.contains("files clean"), "{stderr}");
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn a_root_with_no_sources_exits_2() {
+    let dir = scratch("no_sources");
+    let file = dir.join("file.rs");
+    std::fs::write(&file, "pub fn f() {}\n").unwrap();
+    // Sources outside src/ and crates/*/src/ are not analyzed.
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(empty.join("src")).unwrap();
+    std::fs::write(empty.join("src/notes.md"), "not Rust\n").unwrap();
+    std::fs::write(empty.join("stray.rs"), "pub fn f() {}\n").unwrap();
+    let cases = [
+        (dir.join("missing"), "is not a directory"),
+        (file, "is not a directory"),
+        (empty, "no .rs file under"),
+    ];
+    for (root, why) in &cases {
+        for json in [false, true] {
+            let mut args = vec!["--root", root.to_str().unwrap(), "--deny-warnings"];
+            if json {
+                args.push("--json");
+            }
+            let out = analyze(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+            assert!(stderr.contains(why), "{args:?}: {stderr}");
+            assert!(!stderr.contains("files clean"), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?} printed findings");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -23,6 +23,7 @@ use poat_core::{ObjectId, PolbDesign, PoolId, Pot, VirtAddr};
 use poat_harness::artifact::first_difference;
 use poat_harness::experiments::{self, MainResults};
 use poat_harness::Scale;
+use poat_pmem::trace::CheckedOps;
 use poat_pmem::{Runtime, RuntimeConfig, Trace, TraceOp};
 use poat_sim::cache::MemoryHierarchy;
 use poat_sim::tlb::Tlb;
@@ -182,16 +183,21 @@ fn translation_benches(r: &mut Runner) {
             }
         });
     }
-    {
-        // Misses against a filled CAM: every look-up scans and fails.
-        let mut pipe = Polb::new(PolbDesign::Pipelined, 32);
-        for i in 1..=32u32 {
+    // Misses against a filled CAM, at the paper's default 32 entries and
+    // at Figure 11's largest size: a fully associative look-up costs the
+    // same at any size, so the two rows should read alike.
+    for (entries, name) in [
+        (32u32, "polb_pipelined_miss"),
+        (128, "polb_pipelined_miss_128"),
+    ] {
+        let mut pipe = Polb::new(PolbDesign::Pipelined, entries as usize);
+        for i in 1..=entries {
             pipe.fill(ObjectId::new(pool(i), 0), (i as u64) << 32);
         }
         let miss_oids: Vec<ObjectId> = (1000..1032u32)
             .map(|i| ObjectId::new(pool(i), 64))
             .collect();
-        r.bench("translation", "polb_pipelined_miss", n, move || {
+        r.bench("translation", name, n, move || {
             for &o in &miss_oids {
                 std::hint::black_box(pipe.translate(o));
             }
@@ -304,6 +310,26 @@ fn trace_benches(r: &mut Runner) {
             move || {
                 let mut count = 0usize;
                 for op in t.ops() {
+                    count += usize::from(std::hint::black_box(op).is_memory());
+                }
+                std::hint::black_box(count);
+            },
+        );
+    }
+    {
+        // Checked streaming decode of raw columns (`CheckedOps`, the
+        // decoder every `MmapTrace` replay runs).
+        let (tags, data) = reference.encoded_columns();
+        let (tags, data) = (tags.to_vec(), data.to_vec());
+        r.bench_bytes(
+            "trace",
+            "decode_checked",
+            decoded_len,
+            encoded_bytes,
+            move || {
+                let mut count = 0usize;
+                for op in CheckedOps::new(&tags, &data) {
+                    let op = op.expect("canned trace is well-formed");
                     count += usize::from(std::hint::black_box(op).is_memory());
                 }
                 std::hint::black_box(count);

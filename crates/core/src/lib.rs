@@ -46,6 +46,7 @@
 pub mod addr;
 pub mod config;
 pub mod hash;
+pub mod lru;
 pub mod oid;
 pub mod polb;
 pub mod pot;

@@ -16,23 +16,23 @@
 //! Both use true-LRU replacement, which is practical at the modeled sizes
 //! (1–128 entries).
 //!
-//! Look-up cost on the host is a tracked hot path: the
-//! `translation/polb_*` benchmarks pin it in the committed
-//! `BENCH_<n>.json` baseline (docs/BENCHMARKS.md).
+//! The CAM matches every entry at once, so in hardware a look-up costs
+//! the same at any size. The model keeps that property on the host: its
+//! entries sit in a [`Lru`] index, a hash from tag to slot plus a
+//! recency list, so a hit, a miss and a fill with eviction each cost
+//! O(1) whatever the capacity, and a Figure 11 sweep pays the same per
+//! look-up at 128 entries as at 1. The `translation/polb_*` benchmarks
+//! pin that cost in the committed `BENCH_<n>.json` baseline
+//! (docs/BENCHMARKS.md), `polb_pipelined_miss` at 32 entries and
+//! `polb_pipelined_miss_128` at 128.
 
 use crate::addr::PAGE_BYTES;
 use crate::config::PolbDesign;
+use crate::lru::Lru;
 use crate::oid::ObjectId;
 use crate::stats::PolbStats;
 use poat_telemetry::events::{self, EventKind};
 use poat_telemetry::LocalCounter;
-
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    tag: u64,
-    data: u64,
-    last_use: u64,
-}
 
 /// A fully-associative, true-LRU POLB of either design.
 ///
@@ -81,9 +81,11 @@ struct Entry {
 #[derive(Clone, Debug)]
 pub struct Polb {
     design: PolbDesign,
-    entries: Vec<Entry>,
-    capacity: usize,
-    tick: u64,
+    /// The resident tags, in recency order.
+    tags: Lru,
+    /// Each entry's data (a pool base or a frame base), at the slot
+    /// `tags` gives its tag.
+    data: Vec<u64>,
     stats: PolbStats,
     tele_hits: LocalCounter,
     tele_misses: LocalCounter,
@@ -98,9 +100,8 @@ impl Polb {
         let registry = poat_telemetry::global();
         Polb {
             design,
-            entries: Vec::with_capacity(entries),
-            capacity: entries,
-            tick: 0,
+            tags: Lru::new(entries),
+            data: vec![0; entries],
             stats: PolbStats::default(),
             tele_hits: registry.counter("core.polb.hits").local(),
             tele_misses: registry.counter("core.polb.misses").local(),
@@ -121,21 +122,19 @@ impl Polb {
 
     /// Looks up `oid`, returning the translated raw address on a hit.
     pub fn translate(&mut self, oid: ObjectId) -> Option<u64> {
-        let tag = self.tag(oid);
-        self.tick += 1;
-        let Some(e) = self.entries.iter_mut().find(|e| e.tag == tag) else {
+        let Some(slot) = self.tags.touch(self.tag(oid)) else {
             self.stats.misses += 1;
             self.tele_misses.inc();
             events::emit(EventKind::PolbMiss, oid.pool_raw(), 0);
             return None;
         };
-        e.last_use = self.tick;
         self.stats.hits += 1;
         self.tele_hits.inc();
         events::emit(EventKind::PolbHit, oid.pool_raw(), 0);
+        let base = self.data[slot];
         Some(match self.design {
-            PolbDesign::Pipelined => e.data + oid.offset() as u64,
-            PolbDesign::Parallel => e.data + (oid.offset() as u64 % PAGE_BYTES),
+            PolbDesign::Pipelined => base + oid.offset() as u64,
+            PolbDesign::Parallel => base + (oid.offset() as u64 % PAGE_BYTES),
         })
     }
 
@@ -148,36 +147,23 @@ impl Polb {
         if self.design == PolbDesign::Parallel {
             debug_assert_eq!(base % PAGE_BYTES, 0, "Parallel POLB data is a frame base");
         }
-        if self.capacity == 0 {
+        if self.capacity() == 0 {
             return;
         }
         let tag = self.tag(oid);
-        self.tick += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.tag == tag) {
-            e.data = base;
-            e.last_use = self.tick;
+        // A present tag takes the new data and becomes the most recent.
+        if let Some(slot) = self.tags.touch(tag) {
+            self.data[slot] = base;
             return;
         }
-        let entry = Entry {
-            tag,
-            data: base,
-            last_use: self.tick,
-        };
         self.tele_fills.inc();
         events::emit(EventKind::PolbFill, oid.pool_raw(), 0);
-        if self.entries.len() < self.capacity {
-            self.entries.push(entry);
+        // Once full, the new tag takes the true-LRU victim's slot.
+        let (slot, victim) = self.tags.insert(tag);
+        self.data[slot] = base;
+        let Some(victim_tag) = victim else {
             return;
-        }
-        // Evict the true-LRU victim.
-        let victim = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.last_use)
-            .map(|(i, _)| i)
-            .expect("invariant: capacity > 0 implies entries non-empty at eviction");
-        let victim_tag = std::mem::replace(&mut self.entries[victim], entry).tag;
+        };
         self.tele_evictions.inc();
         // Pipelined tags *are* pool ids; page tags carry the pool id in
         // their upper 32 bits (52-bit tag = 32-bit pool id + 20-bit
@@ -196,7 +182,7 @@ impl Polb {
 
     /// Number of entries the buffer can hold (0 = no POLB present).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.tags.capacity()
     }
 }
 

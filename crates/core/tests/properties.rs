@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 
+use poat_core::lru::Lru;
 use poat_core::polb::Polb;
 use poat_core::stats::PolbStats;
 use poat_core::{ObjectId, PolbDesign, PoolId, Pot, VirtAddr, PAGE_BYTES};
@@ -144,16 +145,19 @@ proptest! {
     #[test]
     fn polb_matches_a_reference_lru(
         design in prop_oneof![Just(PolbDesign::Pipelined), Just(PolbDesign::Parallel)],
-        cap in 0usize..=8,
+        cap in prop_oneof![0usize..=8, Just(32usize), Just(128usize)],
         ops in prop::collection::vec(
-            (any::<bool>(), 1u32..5, 0u32..4, 0u32..4096, 1u64..1024),
-            1..200,
+            (any::<bool>(), any::<u32>(), 0u32..4, 0u32..4096, 1u64..1024),
+            1..1200,
         ),
     ) {
         let mut polb = Polb::new(design, cap);
         let mut model = LruModel { design, capacity: cap, entries: Vec::new(), hits: 0, misses: 0 };
-        for (is_fill, pool_raw, page, off, data) in ops {
-            let pool = PoolId::new(pool_raw).expect("non-zero");
+        // 4 pools up to 8 entries; past that, a quarter more pools than
+        // entries, so even Pipelined (one entry per pool) evicts.
+        let pools = if cap <= 8 { 4 } else { cap as u32 + cap as u32 / 4 };
+        for (is_fill, pool_pick, page, off, data) in ops {
+            let pool = PoolId::new(1 + pool_pick % pools).expect("non-zero");
             let oid = ObjectId::new(pool, page * PAGE_BYTES as u32 + off);
             if is_fill {
                 // Frame-aligned data suits both designs.
@@ -166,6 +170,54 @@ proptest! {
         }
         prop_assert_eq!(polb.capacity(), cap);
         prop_assert_eq!(*polb.stats(), PolbStats { hits: model.hits, misses: model.misses });
+    }
+
+    /// `Lru` is a true-LRU list: each touch hits exactly when the key is
+    /// resident, an insert evicts the least recently used key only once
+    /// every slot is in use and hands the newcomer that key's slot, and
+    /// a resident key keeps its slot. Key spaces run from half the
+    /// capacity (no eviction) to twice it (eviction on most misses).
+    #[test]
+    fn lru_matches_a_reference_list(
+        cap in prop_oneof![0usize..=8, Just(32usize), Just(128usize)],
+        span_pct in prop_oneof![Just(50u64), Just(100u64), Just(125u64), Just(200u64)],
+        picks in prop::collection::vec(any::<u64>(), 1..1500),
+    ) {
+        let mut lru = Lru::new(cap);
+        prop_assert_eq!(lru.capacity(), cap);
+        // Most recently used first.
+        let mut reference: Vec<u64> = Vec::new();
+        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        let span = (cap as u64 * span_pct / 100).max(1);
+        for pick in picks {
+            // Spread the keys so they differ in their high bits too.
+            let key = (pick % span).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let resident = reference.iter().position(|&k| k == key);
+            match lru.touch(key) {
+                Some(slot) => {
+                    let at = resident.expect("a hit is resident");
+                    prop_assert_eq!(slot_of.get(&key), Some(&slot));
+                    reference.remove(at);
+                    reference.insert(0, key);
+                }
+                None => {
+                    prop_assert!(resident.is_none(), "{key:#x} resident but missed");
+                    if cap == 0 {
+                        continue;
+                    }
+                    let (slot, evicted) = lru.insert(key);
+                    let expect = (reference.len() == cap).then(|| reference.pop().expect("full"));
+                    prop_assert_eq!(evicted, expect);
+                    match evicted {
+                        Some(old) => prop_assert_eq!(slot_of.remove(&old), Some(slot)),
+                        None => prop_assert_eq!(slot, slot_of.len(), "slots fill in order"),
+                    }
+                    prop_assert!(slot < cap);
+                    slot_of.insert(key, slot);
+                    reference.insert(0, key);
+                }
+            }
+        }
     }
 
     /// The POT behaves like a map for arbitrary insert/remove/walk mixes,

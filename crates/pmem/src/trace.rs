@@ -228,26 +228,42 @@ fn put_svarint(buf: &mut Vec<u8>, v: u64) {
     put_varint(buf, ((s << 1) ^ (s >> 63)) as u64);
 }
 
+/// Reads one LEB128 varint at `*off` and advances past it.
+///
+/// A one-byte value returns before the loop: that covers most deltas,
+/// backreferences and batch sizes. Longer values keep every check. A
+/// missing byte is `Truncated`. A tenth byte above 1, which would set
+/// bits past the 64th, is `BadVarint`, so at most ten bytes are read.
+#[inline(always)]
 pub(crate) fn get_varint(data: &[u8], off: &mut usize) -> Result<u64, TraceCorruption> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
+    let Some(&b) = data.get(*off) else {
+        return Err(TraceCorruption::Truncated);
+    };
+    *off += 1;
+    if b < 0x80 {
+        return Ok(u64::from(b));
+    }
+    let mut v = u64::from(b & 0x7F);
+    let mut shift = 7u32;
     loop {
-        let b = *data.get(*off).ok_or(TraceCorruption::Truncated)?;
+        let Some(&b) = data.get(*off) else {
+            return Err(TraceCorruption::Truncated);
+        };
         *off += 1;
         if shift == 63 && b > 1 {
             return Err(TraceCorruption::BadVarint);
         }
-        v |= ((b & 0x7F) as u64) << shift;
-        if b & 0x80 == 0 {
+        v |= u64::from(b & 0x7F) << shift;
+        if b < 0x80 {
             return Ok(v);
         }
+        // Stays ≤ 63: at 63 only a final byte (0 or 1) gets this far.
         shift += 7;
-        if shift > 63 {
-            return Err(TraceCorruption::BadVarint);
-        }
     }
 }
 
+/// Reads one zigzag varint: a wrapping delta in either direction.
+#[inline(always)]
 fn get_svarint(data: &[u8], off: &mut usize) -> Result<u64, TraceCorruption> {
     let z = get_varint(data, off)?;
     Ok(((z >> 1) as i64 ^ -((z & 1) as i64)) as u64)
@@ -264,6 +280,16 @@ struct DeltaState {
 impl DeltaState {
     /// Decodes the op with index `id` whose tag is `tag`, consuming
     /// payload bytes from `data` at `*off`.
+    ///
+    /// This is the one trace decoder: [`Ops`], [`CheckedOps`],
+    /// [`Trace::from_encoded`] and [`Trace::chunk_bounds`] all call it,
+    /// and it inlines into each, so an op's fields stay in registers
+    /// rather than passing through a returned `Result`. Every check runs
+    /// on every op, in the order the fields are laid out: a memory op's
+    /// flags (`BadTag`), then its ObjectID and address deltas, then its
+    /// backreference (`BadDep`); each varint can be `Truncated` or
+    /// `BadVarint`. The callers add `TrailingData`.
+    #[inline(always)]
     fn decode(
         &mut self,
         tag: u8,
@@ -271,80 +297,89 @@ impl DeltaState {
         off: &mut usize,
         id: u64,
     ) -> Result<TraceOp, TraceCorruption> {
-        let kind = tag & 0x07;
         let flags = tag >> 3;
-        let op = match kind {
-            K_EXEC => {
-                let n = if flags == 0 {
-                    let v = get_varint(data, off)?;
-                    u32::try_from(v).map_err(|_| TraceCorruption::BadVarint)?
-                } else {
-                    flags as u32
-                };
-                TraceOp::Exec { n }
+        Ok(match tag & 0x07 {
+            K_EXEC if flags == 0 => TraceOp::Exec {
+                n: u32::try_from(get_varint(data, off)?).map_err(|_| TraceCorruption::BadVarint)?,
+            },
+            K_EXEC => TraceOp::Exec { n: flags.into() },
+            // A memory op defines one flag bit: a dependency follows.
+            K_LOAD | K_STORE | K_NVLOAD | K_NVSTORE if flags > 1 => {
+                return Err(TraceCorruption::BadTag(tag))
             }
-            K_LOAD | K_STORE | K_NVLOAD | K_NVSTORE => {
-                if flags > 1 {
-                    return Err(TraceCorruption::BadTag(tag));
-                }
-                let oid = if kind == K_NVLOAD || kind == K_NVSTORE {
-                    let o = self.prev_oid.wrapping_add(get_svarint(data, off)?);
-                    self.prev_oid = o;
-                    Some(ObjectId::from_raw(o))
-                } else {
-                    None
-                };
-                let va = self.prev_va.wrapping_add(get_svarint(data, off)?);
-                self.prev_va = va;
-                let dep = if flags & 1 != 0 {
-                    let back = get_varint(data, off)?;
-                    // backref is encoded as (id - dep - 1); dep must land
-                    // in [0, id).
-                    let dep = id.checked_sub(back + 1).ok_or(TraceCorruption::BadDep)?;
-                    Some(dep)
-                } else {
-                    None
-                };
-                let va = VirtAddr::new(va);
-                match (kind, oid) {
-                    (K_LOAD, _) => TraceOp::Load { va, dep },
-                    (K_STORE, _) => TraceOp::Store { va, dep },
-                    (K_NVLOAD, Some(oid)) => TraceOp::NvLoad { oid, va, dep },
-                    (K_NVSTORE, Some(oid)) => TraceOp::NvStore { oid, va, dep },
-                    // kind is one of the four memory kinds and oid is
-                    // Some exactly for the Nv kinds.
-                    _ => unreachable!("oid presence tracks the kind"),
+            K_LOAD => {
+                let va = self.va(data, off)?;
+                TraceOp::Load {
+                    va,
+                    dep: dep(flags, data, off, id)?,
                 }
             }
-            K_CLWB => {
-                if flags != 0 {
-                    return Err(TraceCorruption::BadTag(tag));
-                }
-                let va = self.prev_va.wrapping_add(get_svarint(data, off)?);
-                self.prev_va = va;
-                TraceOp::Clwb {
-                    va: VirtAddr::new(va),
+            K_STORE => {
+                let va = self.va(data, off)?;
+                TraceOp::Store {
+                    va,
+                    dep: dep(flags, data, off, id)?,
                 }
             }
-            K_FENCE => {
-                if flags != 0 {
-                    return Err(TraceCorruption::BadTag(tag));
-                }
-                TraceOp::Fence
-            }
-            K_BRANCH => {
-                if flags > 1 {
-                    return Err(TraceCorruption::BadTag(tag));
-                }
-                TraceOp::Branch {
-                    mispredicted: flags & 1 != 0,
+            K_NVLOAD => {
+                let oid = self.oid(data, off)?;
+                let va = self.va(data, off)?;
+                TraceOp::NvLoad {
+                    oid,
+                    va,
+                    dep: dep(flags, data, off, id)?,
                 }
             }
-            // kind is 3 bits; all eight values are matched above.
-            _ => unreachable!("3-bit kind"),
-        };
-        Ok(op)
+            K_NVSTORE => {
+                let oid = self.oid(data, off)?;
+                let va = self.va(data, off)?;
+                TraceOp::NvStore {
+                    oid,
+                    va,
+                    dep: dep(flags, data, off, id)?,
+                }
+            }
+            K_CLWB if flags == 0 => TraceOp::Clwb {
+                va: self.va(data, off)?,
+            },
+            K_FENCE if flags == 0 => TraceOp::Fence,
+            K_BRANCH if flags <= 1 => TraceOp::Branch {
+                mispredicted: flags != 0,
+            },
+            // A Clwb, Fence or Branch tag with undefined flag bits.
+            _ => return Err(TraceCorruption::BadTag(tag)),
+        })
     }
+
+    /// The next address: a delta against the previous one.
+    #[inline(always)]
+    fn va(&mut self, data: &[u8], off: &mut usize) -> Result<VirtAddr, TraceCorruption> {
+        self.prev_va = self.prev_va.wrapping_add(get_svarint(data, off)?);
+        Ok(VirtAddr::new(self.prev_va))
+    }
+
+    /// The next ObjectID: a delta against the previous one.
+    #[inline(always)]
+    fn oid(&mut self, data: &[u8], off: &mut usize) -> Result<ObjectId, TraceCorruption> {
+        self.prev_oid = self.prev_oid.wrapping_add(get_svarint(data, off)?);
+        Ok(ObjectId::from_raw(self.prev_oid))
+    }
+}
+
+/// A memory op's dependency edge: present iff the tag's flag bit is set,
+/// encoded as the backreference `id - dep - 1`. The edge must land in
+/// `[0, id)`, which holds exactly when the backreference is below `id`;
+/// any larger value, `u64::MAX` included, is `BadDep`.
+#[inline(always)]
+fn dep(flags: u8, data: &[u8], off: &mut usize, id: u64) -> Result<Option<OpId>, TraceCorruption> {
+    if flags == 0 {
+        return Ok(None);
+    }
+    let back = get_varint(data, off)?;
+    if back >= id {
+        return Err(TraceCorruption::BadDep);
+    }
+    Ok(Some(id - 1 - back))
 }
 
 // ---------------------------------------------------------------------
@@ -792,6 +827,7 @@ impl<'a> CheckedOps<'a> {
 impl Iterator for CheckedOps<'_> {
     type Item = Result<TraceOp, TraceCorruption>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed {
             return None;
@@ -834,6 +870,7 @@ pub struct Ops<'a> {
 impl Iterator for Ops<'_> {
     type Item = TraceOp;
 
+    #[inline]
     fn next(&mut self) -> Option<TraceOp> {
         let &tag = self.tags.get(self.pos)?;
         let op = self
@@ -883,9 +920,292 @@ impl<'a> IntoIterator for &'a Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn va(x: u64) -> VirtAddr {
         VirtAddr::new(x)
+    }
+
+    /// A plainly structured decoder, the reference `DeltaState::decode`
+    /// must match op for op and error for error: its varint loop runs
+    /// every check on every byte, and one arm serves the four memory
+    /// kinds. Its backreference check is checked arithmetic, so
+    /// `u64::MAX` is `BadDep` here too.
+    fn reference_get_varint(data: &[u8], off: &mut usize) -> Result<u64, TraceCorruption> {
+        let mut v: u64 = 0;
+        let mut shift = 0u32;
+        loop {
+            let b = *data.get(*off).ok_or(TraceCorruption::Truncated)?;
+            *off += 1;
+            if shift == 63 && b > 1 {
+                return Err(TraceCorruption::BadVarint);
+            }
+            v |= ((b & 0x7F) as u64) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(TraceCorruption::BadVarint);
+            }
+        }
+    }
+
+    fn reference_get_svarint(data: &[u8], off: &mut usize) -> Result<u64, TraceCorruption> {
+        let z = reference_get_varint(data, off)?;
+        Ok(((z >> 1) as i64 ^ -((z & 1) as i64)) as u64)
+    }
+
+    fn reference_decode(
+        state: &mut DeltaState,
+        tag: u8,
+        data: &[u8],
+        off: &mut usize,
+        id: u64,
+    ) -> Result<TraceOp, TraceCorruption> {
+        let kind = tag & 0x07;
+        let flags = tag >> 3;
+        let op = match kind {
+            K_EXEC => {
+                let n = if flags == 0 {
+                    let v = reference_get_varint(data, off)?;
+                    u32::try_from(v).map_err(|_| TraceCorruption::BadVarint)?
+                } else {
+                    flags as u32
+                };
+                TraceOp::Exec { n }
+            }
+            K_LOAD | K_STORE | K_NVLOAD | K_NVSTORE => {
+                if flags > 1 {
+                    return Err(TraceCorruption::BadTag(tag));
+                }
+                let oid = if kind == K_NVLOAD || kind == K_NVSTORE {
+                    let o = state
+                        .prev_oid
+                        .wrapping_add(reference_get_svarint(data, off)?);
+                    state.prev_oid = o;
+                    Some(ObjectId::from_raw(o))
+                } else {
+                    None
+                };
+                let va = state
+                    .prev_va
+                    .wrapping_add(reference_get_svarint(data, off)?);
+                state.prev_va = va;
+                let dep = if flags & 1 != 0 {
+                    let back = reference_get_varint(data, off)?;
+                    let dep = back
+                        .checked_add(1)
+                        .and_then(|b| id.checked_sub(b))
+                        .ok_or(TraceCorruption::BadDep)?;
+                    Some(dep)
+                } else {
+                    None
+                };
+                let va = VirtAddr::new(va);
+                match (kind, oid) {
+                    (K_LOAD, _) => TraceOp::Load { va, dep },
+                    (K_STORE, _) => TraceOp::Store { va, dep },
+                    (K_NVLOAD, Some(oid)) => TraceOp::NvLoad { oid, va, dep },
+                    (K_NVSTORE, Some(oid)) => TraceOp::NvStore { oid, va, dep },
+                    _ => unreachable!("oid presence tracks the kind"),
+                }
+            }
+            K_CLWB => {
+                if flags != 0 {
+                    return Err(TraceCorruption::BadTag(tag));
+                }
+                let va = state
+                    .prev_va
+                    .wrapping_add(reference_get_svarint(data, off)?);
+                state.prev_va = va;
+                TraceOp::Clwb {
+                    va: VirtAddr::new(va),
+                }
+            }
+            K_FENCE => {
+                if flags != 0 {
+                    return Err(TraceCorruption::BadTag(tag));
+                }
+                TraceOp::Fence
+            }
+            K_BRANCH => {
+                if flags > 1 {
+                    return Err(TraceCorruption::BadTag(tag));
+                }
+                TraceOp::Branch {
+                    mispredicted: flags & 1 != 0,
+                }
+            }
+            _ => unreachable!("3-bit kind"),
+        };
+        Ok(op)
+    }
+
+    /// The reference decoder's ops over whole columns from `base`, and
+    /// the error that stops it, if any (`TrailingData` last).
+    fn reference_stream(
+        tags: &[u8],
+        data: &[u8],
+        base: OpId,
+    ) -> (Vec<TraceOp>, Option<TraceCorruption>) {
+        let mut state = DeltaState::default();
+        let mut off = 0;
+        let mut ops = Vec::new();
+        for (i, &tag) in tags.iter().enumerate() {
+            match reference_decode(&mut state, tag, data, &mut off, base + i as u64) {
+                Ok(op) => ops.push(op),
+                Err(e) => return (ops, Some(e)),
+            }
+        }
+        let trailing = (off != data.len()).then_some(TraceCorruption::TrailingData);
+        (ops, trailing)
+    }
+
+    /// A tag byte: mostly a defined kind with or without its first flag
+    /// bit, sometimes any byte at all.
+    fn arb_tag() -> impl Strategy<Value = u8> {
+        let defined = || (0u8..8, any::<bool>()).prop_map(|(k, f)| k | if f { F_BIT0 } else { 0 });
+        prop_oneof![defined(), defined(), defined(), any::<u8>()]
+    }
+
+    /// A payload byte, biased to continuation bytes and to the 0x00 and
+    /// 0x01 that end a varint, so long, maximal and overlong varints
+    /// (backreferences of `u64::MAX` among them) all occur.
+    fn arb_payload_byte() -> impl Strategy<Value = u8> {
+        prop_oneof![
+            0x80u8..=0xFF,
+            0x80u8..=0xFF,
+            0x80u8..=0xFF,
+            0x80u8..=0xFF,
+            Just(0x00u8),
+            Just(0x00u8),
+            Just(0x01u8),
+            Just(0x01u8),
+            any::<u8>(),
+        ]
+    }
+
+    /// The columns of a valid trace with up to three payload bytes and
+    /// one tag byte overwritten, and its payload's last byte dropped or
+    /// one byte added: long valid prefixes with a defect deep inside, or
+    /// no defect at all.
+    fn arb_damaged_columns() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+        use prop::sample::Index;
+        (
+            prop::collection::vec((0u8..8, any::<u64>(), any::<u8>()), 0..64),
+            prop::collection::vec((any::<Index>(), arb_payload_byte()), 0..4),
+            prop::collection::vec((any::<Index>(), any::<u8>()), 0..2),
+            0u8..4,
+        )
+            .prop_map(|(seeds, payload_edits, tag_edits, end)| {
+                let mut t = Trace::new();
+                for (kind, x, d) in seeds {
+                    let id = t.len() as u64;
+                    let dep = (d & 1 == 1 && id > 0).then(|| id - 1 - u64::from(d >> 1) % id);
+                    // Addresses and ObjectIDs of every magnitude, so deltas
+                    // take one to ten bytes.
+                    let va = VirtAddr::new(x >> (d % 64));
+                    let oid = ObjectId::from_raw(x.rotate_left(u32::from(d)));
+                    t.push(match kind {
+                        0 => TraceOp::Exec { n: (x % 40) as u32 },
+                        1 => TraceOp::Load { va, dep },
+                        2 => TraceOp::Store { va, dep },
+                        3 => TraceOp::NvLoad { oid, va, dep },
+                        4 => TraceOp::NvStore { oid, va, dep },
+                        5 => TraceOp::Clwb { va },
+                        6 => TraceOp::Fence,
+                        _ => TraceOp::Branch {
+                            mispredicted: d & 1 == 1,
+                        },
+                    });
+                }
+                let (tags, data) = t.encoded_columns();
+                let (mut tags, mut data) = (tags.to_vec(), data.to_vec());
+                for (at, byte) in payload_edits {
+                    if !data.is_empty() {
+                        let i = at.index(data.len());
+                        data[i] = byte;
+                    }
+                }
+                for (at, byte) in tag_edits {
+                    if !tags.is_empty() {
+                        let i = at.index(tags.len());
+                        tags[i] = byte;
+                    }
+                }
+                match end {
+                    2 => drop(data.pop()),
+                    3 => data.push(0x01),
+                    _ => {}
+                }
+                (tags, data)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Over arbitrary columns, `CheckedOps` (from op 0 and resumed at
+        /// a later op id) yields exactly the reference decoder's ops and
+        /// then its first error, and `from_encoded` agrees. Test builds
+        /// check arithmetic, so an overflow anywhere fails this too.
+        #[test]
+        fn checked_decode_matches_the_reference_decoder(
+            (tags, data) in prop_oneof![
+                (
+                    prop::collection::vec(arb_tag(), 0..48),
+                    prop::collection::vec(arb_payload_byte(), 0..160),
+                ),
+                arb_damaged_columns(),
+            ],
+            base in prop_oneof![Just(0u64), 0u64..64, 0u64..1 << 40],
+        ) {
+            let (expect_ops, expect_err) = reference_stream(&tags, &data, base);
+            let mut got_ops = Vec::new();
+            let mut got_err = None;
+            let mut it = CheckedOps::resume(&tags, &data, base, 0, 0);
+            for item in it.by_ref() {
+                prop_assert!(got_err.is_none(), "an item after the error");
+                match item {
+                    Ok(op) => got_ops.push(op),
+                    Err(e) => got_err = Some(e),
+                }
+            }
+            prop_assert_eq!(it.next(), None, "fused");
+            prop_assert_eq!(&got_ops, &expect_ops);
+            prop_assert_eq!(got_err, expect_err);
+            if base == 0 {
+                match Trace::from_encoded(tags.clone(), data.clone()) {
+                    Ok(t) => {
+                        prop_assert_eq!(expect_err, None);
+                        prop_assert!(t.ops().eq(expect_ops));
+                    }
+                    Err(e) => prop_assert_eq!(Some(e), expect_err),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_backref_of_u64_max_is_bad_dep() {
+        // Op 1 is a Load whose address delta is 0 and whose backreference
+        // is the ten-byte varint of u64::MAX.
+        let tags = [K_FENCE, K_LOAD | F_BIT0];
+        let mut data = vec![0];
+        data.extend([0xFF; 9]);
+        data.push(0x01);
+        let decoded: Vec<_> = CheckedOps::new(&tags, &data).collect();
+        assert_eq!(
+            decoded,
+            [Ok(TraceOp::Fence), Err(TraceCorruption::BadDep)],
+            "CheckedOps"
+        );
+        assert_eq!(
+            Trace::from_encoded(tags.to_vec(), data),
+            Err(TraceCorruption::BadDep),
+            "from_encoded"
+        );
     }
 
     #[test]

@@ -413,6 +413,7 @@ pub struct MmapOps<'a> {
 impl Iterator for MmapOps<'_> {
     type Item = Result<TraceOp, TraceDecodeError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed {
             return None;
@@ -656,6 +657,49 @@ mod tests {
 
         // The pristine bytes still open.
         assert!(MmapTrace::from_owned(good).is_ok());
+    }
+
+    #[test]
+    fn a_backref_of_u64_max_in_a_mapped_file_is_bad_dep() {
+        // One well-framed chunk: a Fence, then a Load whose address
+        // delta is 0 and whose backreference is the varint of u64::MAX.
+        let tags = [6u8, 1 | 1 << 3];
+        let mut data = vec![0];
+        data.extend([0xFF; 9]);
+        data.push(0x01);
+        let mut bytes = MAGIC_CHUNKED.to_vec();
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&(tags.len() as u64).to_le_bytes());
+        let mut fields = Vec::new();
+        for field in [tags.len() as u64, data.len() as u64, 0, 0] {
+            put_varint(&mut fields, field);
+        }
+        let checksum = Fnv1a64::default()
+            .update(&fields)
+            .update(&tags)
+            .update(&data)
+            .finish();
+        bytes.extend_from_slice(&fields);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        bytes.extend_from_slice(&tags);
+        bytes.extend_from_slice(&data);
+
+        let dir = std::env::temp_dir().join(format!("poat-trace-baddep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.poattrc3");
+        std::fs::write(&path, &bytes).unwrap();
+        let m = MmapTrace::open(&path).expect("the framing is valid");
+        let decoded: Vec<_> = m.checked_ops().collect();
+        assert!(matches!(decoded[0], Ok(TraceOp::Fence)), "{decoded:?}");
+        assert!(
+            matches!(
+                decoded[1..],
+                [Err(TraceDecodeError::Corrupt(TraceCorruption::BadDep))]
+            ),
+            "{decoded:?}"
+        );
+        assert!(!m.chunk_validated(0));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Data TLB model: fully associative, true-LRU over 4 KB page numbers.
 //!
-//! The entries are an LRU stack (Mattson et al., 1970), most recently
-//! used page first, so a repeat of the last page is one compare and the
-//! victim on a miss is always the last entry.
+//! The entries sit in a [`Lru`] index, the structure the POLB uses: a
+//! hash from page number to slot plus a recency list. A repeat of the
+//! most recently used page is one compare; any other hit, and a miss
+//! with its eviction of the least recently used page, costs O(1)
+//! instead of a scan over all 64 entries.
 //!
 //! `access` runs once per replayed memory op, so its host cost bounds
 //! replay throughput: the `memory/tlb_*` benchmarks pin both the
-//! front-entry hit path and the full-scan miss path in the committed
+//! front-entry hit path and the miss-and-evict path in the committed
 //! `BENCH_<n>.json` baseline (docs/BENCHMARKS.md).
 
-use crate::cache::lru_touch;
+use poat_core::lru::Lru;
 
 /// Hit/miss counters for the TLB.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -24,8 +26,8 @@ pub struct TlbStats {
 /// charged by the core models).
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    /// Page numbers + 1 in a [`lru_touch`] run, so 0 marks a free entry.
-    pages: Vec<u64>,
+    /// The resident page numbers, in recency order.
+    pages: Lru,
     stats: TlbStats,
 }
 
@@ -33,19 +35,24 @@ impl Tlb {
     /// Creates a TLB with `entries` slots.
     pub fn new(entries: usize) -> Self {
         Tlb {
-            pages: vec![0; entries],
+            pages: Lru::new(entries),
             stats: TlbStats::default(),
         }
     }
 
     /// Looks up the page containing virtual address `va`; returns whether
     /// the translation hit, installing it on a miss.
+    #[inline]
     pub fn access(&mut self, va: u64) -> bool {
-        let hit = lru_touch(&mut self.pages, (va >> 12) + 1);
+        let page = va >> 12;
+        let hit = self.pages.touch(page).is_some();
         if hit {
             self.stats.hits += 1;
         } else {
             self.stats.misses += 1;
+            if self.pages.capacity() > 0 {
+                self.pages.insert(page);
+            }
         }
         hit
     }
@@ -116,8 +123,8 @@ mod tests {
             self.stats.misses += 1;
             if self.entries.len() < self.capacity {
                 self.entries.push((page, tick));
-            } else {
-                *self.entries.iter_mut().min_by_key(|(_, t)| *t).unwrap() = (page, tick);
+            } else if let Some(victim) = self.entries.iter_mut().min_by_key(|(_, t)| *t) {
+                *victim = (page, tick);
             }
             false
         }
@@ -125,11 +132,12 @@ mod tests {
 
     #[test]
     fn recency_stack_matches_reference_lru() {
-        // The Table 4 TLB (64 entries), a small one and a single entry,
-        // under page-local runs with periodic strides and revisits: fills,
-        // hits at every depth, LRU evictions, and re-touches of evicted
-        // pages. Every per-access outcome must match.
-        for capacity in [64, 8, 1] {
+        // The Table 4 TLB (64 entries), a larger and a small one, a
+        // single entry and none, under page-local runs with periodic
+        // strides and revisits: fills, hits at every depth, LRU
+        // evictions, and re-touches of evicted pages. Every per-access
+        // outcome must match.
+        for capacity in [128, 64, 8, 1, 0] {
             let mut tlb = Tlb::new(capacity);
             let mut reference = ReferenceTlb {
                 entries: Vec::new(),
@@ -137,7 +145,7 @@ mod tests {
                 tick: 0,
                 stats: TlbStats::default(),
             };
-            let hot = 2 * capacity as u64;
+            let hot = 2 * capacity.max(1) as u64;
             let mut x: u64 = 0x9E37;
             for i in 0..20_000u64 {
                 x = x
@@ -156,10 +164,14 @@ mod tests {
             }
             assert_eq!(tlb.stats(), reference.stats, "{capacity} entries");
             let s = reference.stats;
-            assert!(
-                s.hits > 1000 && s.misses > 1000,
-                "{capacity} entries: {s:?}"
-            );
+            if capacity == 0 {
+                assert_eq!(s.hits, 0, "no entry, no hit");
+            } else {
+                assert!(
+                    s.hits > 1000 && s.misses > 1000,
+                    "{capacity} entries: {s:?}"
+                );
+            }
         }
     }
 }
